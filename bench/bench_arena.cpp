@@ -18,8 +18,6 @@
 //                    [--strategies a,b,c] [--fixed-warmup]
 #include <algorithm>
 #include <cctype>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -28,6 +26,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "ccnopt/common/args.hpp"
 #include "ccnopt/experiments/arena.hpp"
 #include "ccnopt/obs/topo.hpp"
 #include "ccnopt/runtime/thread_pool.hpp"
@@ -65,32 +64,20 @@ std::string slug(const std::string& name) {
 int main(int argc, char** argv) {
   using namespace ccnopt;
   experiments::ArenaOptions options;
-  options.measured_requests = 100000;
-  options.warmup_requests = 100000;
-  options.detect_steady_state = true;
-  std::size_t threads = std::min<std::size_t>(
-      8, std::max<std::size_t>(2, std::thread::hardware_concurrency()));
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--measured") == 0 && i + 1 < argc) {
-      options.measured_requests = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--warmup") == 0 && i + 1 < argc) {
-      options.warmup_requests = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--catalog") == 0 && i + 1 < argc) {
-      options.catalog_size = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--capacity") == 0 && i + 1 < argc) {
-      options.capacity_c = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--x") == 0 && i + 1 < argc) {
-      options.coordinated_x = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      options.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--strategies") == 0 && i + 1 < argc) {
-      options.strategies = split_csv(argv[++i]);
-    } else if (std::strcmp(argv[i], "--fixed-warmup") == 0) {
-      options.detect_steady_state = false;
-    }
-  }
+  ArgReader args(argc, argv);
+  options.measured_requests = args.count("measured", 100000);
+  options.warmup_requests = args.count("warmup", 100000);
+  options.catalog_size = args.count("catalog", options.catalog_size);
+  options.capacity_c = args.count("capacity", options.capacity_c);
+  options.coordinated_x = args.count("x", options.coordinated_x);
+  options.seed = args.count("seed", options.seed);
+  std::size_t threads = args.count(
+      "threads", std::min<std::size_t>(
+                     8, std::max<std::size_t>(
+                            2, std::thread::hardware_concurrency())));
+  options.strategies = split_csv(args.text("strategies", ""));
+  options.detect_steady_state = !args.flag("fixed-warmup");
+  if (!args.finish()) return 2;
   if (threads == 0) threads = 1;
 
   // Validate requested strategies up front with the registry's own error

@@ -5,14 +5,18 @@
 #include <iostream>
 
 #include "bench_util.hpp"
+#include "ccnopt/common/args.hpp"
 #include "ccnopt/common/strings.hpp"
 #include "ccnopt/common/table.hpp"
 #include "ccnopt/topology/datasets.hpp"
 #include "ccnopt/topology/io.hpp"
 
 int main(int argc, char** argv) {
-  ccnopt::bench::BenchReporter reporter("fig3_abilene");
   using namespace ccnopt;
+  ArgReader args(argc, argv);
+  const std::string dot_path = args.text_at(0, "");
+  if (!args.finish(1)) return 2;
+  bench::BenchReporter reporter("fig3_abilene");
   const topology::Graph g = topology::abilene();
   std::cout << "=== Figure 3: the Abilene network (" << g.node_count()
             << " nodes, " << g.directed_edge_count()
@@ -23,14 +27,14 @@ int main(int argc, char** argv) {
                    format_double(link.latency_ms, 2)});
   }
   table.print(std::cout);
-  if (argc > 1) {
-    std::ofstream out(argv[1]);
+  if (!dot_path.empty()) {
+    std::ofstream out(dot_path);
     if (!out) {
-      std::cerr << "cannot open " << argv[1] << "\n";
+      std::cerr << "cannot open " << dot_path << "\n";
       return reporter.finish(1);
     }
     topology::write_dot(g, out);
-    std::cout << "\nDOT written to " << argv[1]
+    std::cout << "\nDOT written to " << dot_path
               << " (render: neato -Tpng)\n";
   }
   return reporter.finish();

@@ -5,13 +5,13 @@
 // so regressions in any one rewrite are visible.
 //
 // Usage: bench_throughput_caches [ops] [capacity] [catalog]
-#include <cstdlib>
 #include <iostream>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "ccnopt/cache/policy.hpp"
 #include "ccnopt/cache/reference.hpp"
+#include "ccnopt/common/args.hpp"
 #include "ccnopt/common/random.hpp"
 #include "ccnopt/common/strings.hpp"
 #include "ccnopt/common/table.hpp"
@@ -32,13 +32,12 @@ double admit_loop_rps(cache::CachePolicy& policy,
 }  // namespace
 
 int main(int argc, char** argv) {
+  ArgReader args(argc, argv);
+  const std::size_t ops = args.count_at(0, 400000);
+  const std::size_t capacity = args.count_at(1, 2000);
+  const std::uint64_t catalog = args.count_at(2, 50000);
+  if (!args.finish(3)) return 2;
   bench::BenchReporter reporter("throughput_caches");
-  const std::size_t ops = argc > 1 ? std::strtoull(argv[1], nullptr, 10)
-                                   : 400000;
-  const std::size_t capacity = argc > 2 ? std::strtoull(argv[2], nullptr, 10)
-                                        : 2000;
-  const std::uint64_t catalog = argc > 3 ? std::strtoull(argv[3], nullptr, 10)
-                                         : 50000;
   std::cout << "=== Cache admit throughput (ops=" << ops
             << ", capacity=" << capacity << ", catalog=" << catalog
             << ", Zipf s=0.8) ===\n\n";

@@ -12,11 +12,10 @@
 // sharded request engine (--shards, default 8) against the same run at
 // shards=1, reporting requests_per_sec_sharded and sharded_speedup — both
 // runs are bit-identical by construction (see DESIGN.md §14), so this is a
-// pure like-for-like timing. The sharded run is additionally repeated with
-// parallel_record = false to isolate the record pass (DESIGN.md §15):
-// record_pass_seconds_serial / record_pass_seconds_parallel and their
-// ratio record_speedup. Per-phase throughput (warmup vs measured) of the
-// single-thread run is reported from Simulation::last_phase_seconds().
+// pure like-for-like timing. The sharded run's record pass (DESIGN.md §15)
+// is reported as record_pass_seconds_parallel. Per-phase throughput
+// (warmup vs measured) of the single-thread run is reported from
+// Simulation::last_phase_seconds().
 //
 // --catalog scales the content catalog (default 20000); at web-scale
 // catalogs the auto-selected rejection sampler and sparse cache indexes
@@ -25,13 +24,12 @@
 // --catalog 10000000 --label large). --label suffixes the bench record
 // name so the two runs produce distinct BENCH_*.json files.
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <thread>
 
 #include "bench_util.hpp"
+#include "ccnopt/common/args.hpp"
 #include "ccnopt/runtime/replication_runner.hpp"
 #include "ccnopt/runtime/shard_scheduler.hpp"
 #include "ccnopt/runtime/thread_pool.hpp"
@@ -61,34 +59,19 @@ double replications_rps(ccnopt::runtime::ThreadPool& pool,
 
 int main(int argc, char** argv) {
   using namespace ccnopt;
-  std::size_t threads = std::min<std::size_t>(
-      8, std::max<std::size_t>(2, std::thread::hardware_concurrency()));
-  std::uint64_t requests = 60000;
-  std::size_t replications = 8;
-  std::uint64_t catalog = 20000;
-  std::size_t capacity = 200;
-  std::size_t coordinated = 100;
-  std::size_t shards = 8;
-  std::string label;
-  for (int i = 1; i + 1 < argc + 1; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--requests") == 0 && i + 1 < argc) {
-      requests = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--replications") == 0 && i + 1 < argc) {
-      replications = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--catalog") == 0 && i + 1 < argc) {
-      catalog = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--capacity") == 0 && i + 1 < argc) {
-      capacity = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--coordinated") == 0 && i + 1 < argc) {
-      coordinated = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      shards = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--label") == 0 && i + 1 < argc) {
-      label = argv[++i];
-    }
-  }
+  ArgReader args(argc, argv);
+  std::size_t threads = args.count(
+      "threads", std::min<std::size_t>(
+                     8, std::max<std::size_t>(
+                            2, std::thread::hardware_concurrency())));
+  const std::uint64_t requests = args.count("requests", 60000);
+  const std::size_t replications = args.count("replications", 8);
+  const std::uint64_t catalog = args.count("catalog", 20000);
+  const std::size_t capacity = args.count("capacity", 200);
+  const std::size_t coordinated = args.count("coordinated", 100);
+  std::size_t shards = args.count("shards", 8);
+  const std::string label = args.text("label", "");
+  if (!args.finish()) return 2;
   if (threads == 0) threads = 1;
   if (shards == 0) shards = 1;
   bench::BenchReporter reporter(
@@ -168,7 +151,6 @@ int main(int argc, char** argv) {
   double sharded_rps = 0.0;
   double warmup_phase_rps = 0.0;
   double measured_phase_rps = 0.0;
-  double record_serial_s = 0.0;
   double record_parallel_s = 0.0;
   {
     const double total_requests =
@@ -191,18 +173,6 @@ int main(int argc, char** argv) {
       sharded_config.shards = shards;
       runtime::ThreadPool pool(std::min(threads, shards));
       runtime::ShardScheduler scheduler(pool);
-      // Record-pass A/B on the same pool: parallel_record=false runs the
-      // identical per-shard record bodies serially in shard order, so the
-      // two runs differ only in where the record work executes — the
-      // seconds ratio is the record pass's own speedup.
-      {
-        sim::SimConfig serial_record = sharded_config;
-        serial_record.parallel_record = false;
-        sim::Simulation sharded(topology::us_a(), serial_record);
-        sharded.set_shard_executor(&scheduler);
-        sharded.run();
-        record_serial_s = sharded.last_record_seconds();
-      }
       sim::Simulation sharded(topology::us_a(), sharded_config);
       sharded.set_shard_executor(&scheduler);
       const bench::WallTimer timer;
@@ -225,12 +195,7 @@ int main(int argc, char** argv) {
             << ", measured phase " << measured_phase_rps / 1e6 << ")\n"
             << "one run  (" << shards << " shards):  " << sharded_rps / 1e6
             << " Mreq/s (speedup " << sharded_rps / single_rps << "x)\n"
-            << "record pass: serial " << record_serial_s * 1000.0
-            << " ms, parallel " << record_parallel_s * 1000.0
-            << " ms (speedup "
-            << record_serial_s / (record_parallel_s > 0.0 ? record_parallel_s
-                                                          : 1e-9)
-            << "x)\n";
+            << "record pass: " << record_parallel_s * 1000.0 << " ms\n";
 
   reporter.add_timing_ms("serial_ms", serial_ms);
   reporter.add_timing_ms("parallel_ms", parallel_ms);
@@ -244,11 +209,7 @@ int main(int argc, char** argv) {
   reporter.set_output("requests_per_sec_measured_phase", measured_phase_rps);
   reporter.set_output("requests_per_sec_sharded", sharded_rps);
   reporter.set_output("sharded_speedup", sharded_rps / single_rps);
-  reporter.set_output("record_pass_seconds_serial", record_serial_s);
   reporter.set_output("record_pass_seconds_parallel", record_parallel_s);
-  reporter.set_output("record_speedup",
-                      record_serial_s /
-                          (record_parallel_s > 0.0 ? record_parallel_s : 1e-9));
   reporter.set_output("shards", shards);
   reporter.set_output("threads", threads);
   reporter.set_output("catalog_size", config.network.catalog_size);

@@ -9,11 +9,11 @@
 // the whole loop is steady.
 //
 // Usage: bench_throughput_serve [requests] [catalog] [capacity]
-#include <cstdlib>
 #include <iostream>
 #include <vector>
 
 #include "bench_util.hpp"
+#include "ccnopt/common/args.hpp"
 #include "ccnopt/common/random.hpp"
 #include "ccnopt/obs/timeline.hpp"
 #include "ccnopt/popularity/sampler.hpp"
@@ -22,13 +22,12 @@
 
 int main(int argc, char** argv) {
   using namespace ccnopt;
+  ArgReader args(argc, argv);
+  const std::size_t requests = args.count_at(0, 500000);
+  const std::uint64_t catalog = args.count_at(1, 20000);
+  const std::size_t capacity = args.count_at(2, 200);
+  if (!args.finish(3)) return 2;
   bench::BenchReporter reporter("throughput_serve");
-  const std::size_t requests = argc > 1 ? std::strtoull(argv[1], nullptr, 10)
-                                        : 500000;
-  const std::uint64_t catalog = argc > 2 ? std::strtoull(argv[2], nullptr, 10)
-                                         : 20000;
-  const std::size_t capacity = argc > 3 ? std::strtoull(argv[3], nullptr, 10)
-                                        : 200;
   std::cout << "=== serve() throughput (US-A, requests=" << requests
             << ", catalog=" << catalog << ", c=" << capacity
             << ", x=c/2, LRU local) ===\n\n";

@@ -6,21 +6,24 @@
 // This is the deployment story for the model: nobody hands a carrier the
 // Zipf exponent — the coordinator estimates it from the requests it serves
 // and re-provisions the content stores each epoch.
-#include <cstdlib>
 #include <iostream>
 
+#include "ccnopt/common/args.hpp"
 #include "ccnopt/common/strings.hpp"
 #include "ccnopt/experiments/adaptive_loop.hpp"
 #include "ccnopt/topology/datasets.hpp"
 
 int main(int argc, char** argv) {
   using namespace ccnopt;
-  const std::string topology_name = argc > 1 ? argv[1] : "abilene";
-  const int epochs = argc > 2 ? std::atoi(argv[2]) : 6;
-  if (epochs < 2 || epochs > 64) {
+  ArgReader args(argc, argv);
+  const std::string topology_name = args.text_at(0, "abilene");
+  const std::uint64_t epoch_count = args.count_at(1, 6);
+  if (!args.finish(2)) return 2;
+  if (epoch_count < 2 || epoch_count > 64) {
     std::cerr << "epochs must be in [2, 64]\n";
     return 1;
   }
+  const int epochs = static_cast<int>(epoch_count);
 
   const auto graph = topology::dataset_by_name(topology_name);
   if (!graph) {

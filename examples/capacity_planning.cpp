@@ -7,9 +7,9 @@
 // point, and reports the diminishing returns of storage on origin load and
 // latency — the curve a provisioning team would look at before buying
 // flash for its routers.
-#include <cstdlib>
 #include <iostream>
 
+#include "ccnopt/common/args.hpp"
 #include "ccnopt/common/strings.hpp"
 #include "ccnopt/common/table.hpp"
 #include "ccnopt/model/gains.hpp"
@@ -19,8 +19,10 @@
 
 int main(int argc, char** argv) {
   using namespace ccnopt;
-  const std::string topology_name = argc > 1 ? argv[1] : "cernet";
-  const double alpha = argc > 2 ? std::atof(argv[2]) : 0.8;
+  ArgReader args(argc, argv);
+  const std::string topology_name = args.text_at(0, "cernet");
+  const double alpha = args.number_at(1, 0.8);
+  if (!args.finish(2)) return 2;
 
   const auto graph = topology::dataset_by_name(topology_name);
   if (!graph) {

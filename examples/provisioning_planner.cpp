@@ -6,9 +6,9 @@
 // around the requested operating point, prints the optimal per-router
 // coordination plan, the coordinator's content assignment summary, and a
 // stability analysis (how sensitive l* is near the chosen alpha).
-#include <cstdlib>
 #include <iostream>
 
+#include "ccnopt/common/args.hpp"
 #include "ccnopt/common/strings.hpp"
 #include "ccnopt/common/table.hpp"
 #include "ccnopt/model/gains.hpp"
@@ -19,10 +19,12 @@
 
 int main(int argc, char** argv) {
   using namespace ccnopt;
-  const std::string topology_name = argc > 1 ? argv[1] : "us-a";
-  const double alpha = argc > 2 ? std::atof(argv[2]) : 0.7;
-  const double gamma = argc > 3 ? std::atof(argv[3]) : 5.0;
-  const double zipf_s = argc > 4 ? std::atof(argv[4]) : 0.8;
+  ArgReader args(argc, argv);
+  const std::string topology_name = args.text_at(0, "us-a");
+  const double alpha = args.number_at(1, 0.7);
+  const double gamma = args.number_at(2, 5.0);
+  const double zipf_s = args.number_at(3, 0.8);
+  if (!args.finish(4)) return 2;
 
   const auto graph = topology::dataset_by_name(topology_name);
   if (!graph) {

@@ -8,9 +8,9 @@
 // contents lost, and the link that heats up most), and (c) the state
 // after repair — combining the failure-injection and link-load machinery.
 #include <algorithm>
-#include <cstdlib>
 #include <iostream>
 
+#include "ccnopt/common/args.hpp"
 #include "ccnopt/common/strings.hpp"
 #include "ccnopt/common/table.hpp"
 #include "ccnopt/sim/network.hpp"
@@ -63,9 +63,10 @@ Snapshot measure(sim::CcnNetwork& network, std::uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string topology_name = argc > 1 ? argv[1] : "us-a";
-  const std::size_t x =
-      argc > 2 ? static_cast<std::size_t>(std::atoi(argv[2])) : 100;
+  ArgReader args(argc, argv);
+  const std::string topology_name = args.text_at(0, "us-a");
+  const std::size_t x = args.count_at(1, 100);
+  if (!args.finish(2)) return 2;
 
   const auto graph = topology::dataset_by_name(topology_name);
   if (!graph) {

@@ -8,6 +8,7 @@
 // against the model's predictions.
 #include <iostream>
 
+#include "ccnopt/common/args.hpp"
 #include "ccnopt/common/strings.hpp"
 #include "ccnopt/common/table.hpp"
 #include "ccnopt/model/gains.hpp"
@@ -19,7 +20,9 @@
 
 int main(int argc, char** argv) {
   using namespace ccnopt;
-  const std::string topology_name = argc > 1 ? argv[1] : "geant";
+  ArgReader args(argc, argv);
+  const std::string topology_name = args.text_at(0, "geant");
+  if (!args.finish(1)) return 2;
   const auto graph = topology::dataset_by_name(topology_name);
   if (!graph) {
     std::cerr << graph.status().to_string() << "\n";

@@ -7,12 +7,10 @@
 // counterpart produce identical hit/miss results, identical eviction and
 // insertion counts, and identical resident sets (identical iteration order
 // too for LRU and FIFO). tests/test_cache_equivalence.cpp replays random
-// and adversarial streams through both; sim A/B tests run whole simulations
-// on either side via NetworkConfig::use_reference_policies and require
-// byte-identical reports, traces, and metric exports.
+// and adversarial streams through both; bench_throughput_caches times the
+// two side by side.
 //
-// These are not built for speed — do not use them on the simulator hot
-// path outside A/B testing.
+// These are not built for speed — the simulator never uses them.
 #pragma once
 
 #include <deque>

@@ -1,6 +1,9 @@
 #include "ccnopt/common/args.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
+#include <iostream>
 
 #include "ccnopt/common/strings.hpp"
 
@@ -89,6 +92,92 @@ std::vector<std::string> ArgParser::unused_keys() const {
     if (consumed_.count(key) == 0) unused.push_back(key);
   }
   return unused;
+}
+
+ArgReader::ArgReader(int argc, const char* const* argv)
+    : program_(argc > 0 ? argv[0] : "") {
+  Expected<ArgParser> parsed = ArgParser::parse(argc, argv);
+  if (parsed) {
+    parser_ = std::move(*parsed);
+  } else {
+    fail(parsed.status().message());
+  }
+}
+
+void ArgReader::fail(const std::string& message) {
+  if (error_.empty()) error_ = message;
+}
+
+std::uint64_t ArgReader::parse_count(const std::string& what,
+                                     const std::string& text,
+                                     std::uint64_t fallback) {
+  std::uint64_t value = 0;
+  const char* const end = text.data() + text.size();
+  const auto [stop, code] = std::from_chars(text.data(), end, value);
+  if (text.empty() || code != std::errc() || stop != end) {
+    fail(what + " expects a non-negative integer, got '" + text + "'");
+    return fallback;
+  }
+  return value;
+}
+
+double ArgReader::parse_number(const std::string& what,
+                               const std::string& text, double fallback) {
+  char* stop = nullptr;
+  const double value = std::strtod(text.c_str(), &stop);
+  if (text.empty() || *stop != '\0' || !std::isfinite(value)) {
+    fail(what + " expects a number, got '" + text + "'");
+    return fallback;
+  }
+  return value;
+}
+
+std::uint64_t ArgReader::count(const std::string& key,
+                               std::uint64_t fallback) {
+  if (!parser_.has(key)) return fallback;
+  return parse_count("--" + key, parser_.get(key, ""), fallback);
+}
+
+std::string ArgReader::text(const std::string& key,
+                            const std::string& fallback) {
+  return parser_.get(key, fallback);
+}
+
+bool ArgReader::flag(const std::string& key) {
+  if (!parser_.has(key)) return false;
+  if (!parser_.get(key, "").empty()) fail("--" + key + " takes no value");
+  return true;
+}
+
+std::uint64_t ArgReader::count_at(std::size_t index, std::uint64_t fallback) {
+  if (index >= parser_.positional().size()) return fallback;
+  return parse_count("argument " + std::to_string(index + 1),
+                     parser_.positional()[index], fallback);
+}
+
+double ArgReader::number_at(std::size_t index, double fallback) {
+  if (index >= parser_.positional().size()) return fallback;
+  return parse_number("argument " + std::to_string(index + 1),
+                      parser_.positional()[index], fallback);
+}
+
+std::string ArgReader::text_at(std::size_t index,
+                               const std::string& fallback) {
+  return index < parser_.positional().size() ? parser_.positional()[index]
+                                             : fallback;
+}
+
+bool ArgReader::finish(std::size_t max_positional) {
+  for (const std::string& key : parser_.unused_keys()) {
+    fail("unknown flag --" + key);
+  }
+  if (parser_.positional().size() > max_positional) {
+    fail("unexpected argument '" + parser_.positional()[max_positional] +
+         "'");
+  }
+  if (error_.empty()) return true;
+  std::cerr << program_ << ": " << error_ << "\n";
+  return false;
 }
 
 }  // namespace ccnopt

@@ -2,6 +2,7 @@
 // plus --key=value / --key value options and --flag switches.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -36,6 +37,44 @@ class ArgParser {
   std::vector<std::string> positional_;
   std::map<std::string, std::string> options_;
   mutable std::map<std::string, bool> consumed_;
+};
+
+/// Strict argument reading for bench and example mains, on ArgParser. Each
+/// accessor returns the parsed value, or `fallback` when the argument is
+/// absent; the first malformed number, negative or overflowing count, or
+/// flag given a value is kept as error(). finish() adds unread --keys and
+/// surplus positionals, prints "<program>: <error>" to stderr, and returns
+/// false, so a main ends its argument block with
+/// `if (!args.finish(n)) return 2;`.
+class ArgReader {
+ public:
+  ArgReader(int argc, const char* const* argv);
+
+  std::uint64_t count(const std::string& key, std::uint64_t fallback);
+  std::string text(const std::string& key, const std::string& fallback);
+  /// True when the bare --key was given.
+  bool flag(const std::string& key);
+
+  /// The positional word at `index` (0-based), read like the keyed forms.
+  std::uint64_t count_at(std::size_t index, std::uint64_t fallback);
+  double number_at(std::size_t index, double fallback);
+  std::string text_at(std::size_t index, const std::string& fallback);
+
+  /// Accepts at most `max_positional` positional words; false (after
+  /// printing the first error) when any argument was rejected.
+  bool finish(std::size_t max_positional = 0);
+  const std::string& error() const { return error_; }
+
+ private:
+  std::uint64_t parse_count(const std::string& what, const std::string& text,
+                            std::uint64_t fallback);
+  double parse_number(const std::string& what, const std::string& text,
+                      double fallback);
+  void fail(const std::string& message);
+
+  std::string program_;
+  ArgParser parser_;
+  std::string error_;
 };
 
 }  // namespace ccnopt

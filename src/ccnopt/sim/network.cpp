@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "ccnopt/cache/reference.hpp"
 #include "ccnopt/cache/static_cache.hpp"
 #include "ccnopt/common/assert.hpp"
 #include "ccnopt/obs/registry.hpp"
@@ -15,7 +14,7 @@ namespace {
 
 std::unique_ptr<cache::CachePolicy> make_local_partition(
     LocalStoreMode mode, std::size_t capacity, std::uint64_t seed,
-    bool use_reference, cache::IndexSpec index) {
+    cache::IndexSpec index) {
   cache::PolicyKind kind;
   switch (mode) {
     case LocalStoreMode::kStaticTop:
@@ -36,10 +35,7 @@ std::unique_ptr<cache::CachePolicy> make_local_partition(
       CCNOPT_ASSERT(false);
       return nullptr;
   }
-  // The reference policies are hash/tree-based — they have no dense index
-  // to swap out, so the IndexSpec only reaches the flat rewrites.
-  return use_reference ? cache::make_reference_policy(kind, capacity, seed)
-                       : cache::make_policy(kind, capacity, seed, index);
+  return cache::make_policy(kind, capacity, seed, index);
 }
 
 // Interned once per process; handles survive registry reset().
@@ -309,89 +305,39 @@ std::size_t CcnNetwork::capacity_of(topology::NodeId id) const {
 }
 
 std::uint64_t CcnNetwork::provision(std::size_t coordinated_x) {
-  if (!config_.use_legacy_coordinator_path) {
-    strategy::PlacementContext context;
-    context.graph = &graph_;
-    context.routers.reserve(graph_.node_count());
-    for (topology::NodeId id = 0; id < graph_.node_count(); ++id) {
-      context.routers.push_back(
-          strategy::RouterInfo{id, capacity_of(id), !failed_[id]});
-    }
-    context.alive_participants = alive_participants();
-    context.catalog_size = config_.catalog_size;
-    context.requested_x = coordinated_x;
-    context.seed = config_.seed;
-
-    strategy::PlacementPlan plan = bundle_.placement->provision(context);
-    CCNOPT_ASSERT(plan.coordinated_capacity.size() == graph_.node_count());
-    CCNOPT_ASSERT(plan.assigned.size() == graph_.node_count());
-    provisioned_x_ = plan.provisioned_x;
-    assignment_ = std::move(plan.assignment);
-    for (topology::NodeId id = 0; id < graph_.node_count(); ++id) {
-      const std::size_t capacity = capacity_of(id);
-      const std::size_t x = plan.coordinated_capacity[id];
-      CCNOPT_ASSERT(x <= capacity);
-      stores_[id] = std::make_unique<cache::PartitionedStore>(
-          capacity, x,
-          make_local_partition(
-              config_.local_mode, capacity - x,
-              config_.seed + 0x51ED2701ULL * (id + 1),
-              config_.use_reference_policies,
-              cache::IndexSpec{config_.cache_index_mode, config_.catalog_size}),
-          std::move(plan.assigned[id]));
-    }
-    rebuild_owner_table();
-    // Each epoch restarts the admission-coin stream so replications and
-    // repeated provisions are reproducible from the config seed alone.
-    strategy_rng_ = Rng(derive_seed(config_.seed, kStrategyRngStream));
-    const NetworkMetricHandles& handles = NetworkMetricHandles::get();
-    obs::metrics().incr(handles.provision_epochs);
-    obs::metrics().incr(handles.provision_messages, assignment_.messages);
-    return assignment_.messages;
+  strategy::PlacementContext context;
+  context.graph = &graph_;
+  context.routers.reserve(graph_.node_count());
+  for (topology::NodeId id = 0; id < graph_.node_count(); ++id) {
+    context.routers.push_back(
+        strategy::RouterInfo{id, capacity_of(id), !failed_[id]});
   }
-  return provision_legacy(coordinated_x);
-}
+  context.alive_participants = alive_participants();
+  context.catalog_size = config_.catalog_size;
+  context.requested_x = coordinated_x;
+  context.seed = config_.seed;
 
-std::uint64_t CcnNetwork::provision_legacy(std::size_t coordinated_x) {
-  // The coordinated pool spans the surviving participants only, so
-  // re-provisioning after failures acts as the repair step. The analytical
-  // model assumes homogeneous participant capacity; clamp x to the
-  // smallest alive participant so the rank ranges line up.
-  const std::vector<topology::NodeId> alive = alive_participants();
-  CCNOPT_EXPECTS(!alive.empty());
-  std::size_t min_capacity = SIZE_MAX;
-  for (const topology::NodeId id : alive) {
-    min_capacity = std::min(min_capacity, capacity_of(id));
-  }
-  CCNOPT_EXPECTS(coordinated_x <= min_capacity);
-  provisioned_x_ = coordinated_x;
-
-  const cache::ContentId first_coordinated_rank =
-      static_cast<cache::ContentId>(min_capacity - coordinated_x) + 1;
-  const Coordinator alive_coordinator(alive);
-  assignment_ = alive_coordinator.assign(first_coordinated_rank,
-                                         coordinated_x);
-
-  std::size_t alive_index = 0;
+  strategy::PlacementPlan plan = bundle_.placement->provision(context);
+  CCNOPT_ASSERT(plan.coordinated_capacity.size() == graph_.node_count());
+  CCNOPT_ASSERT(plan.assigned.size() == graph_.node_count());
+  provisioned_x_ = plan.provisioned_x;
+  assignment_ = std::move(plan.assignment);
   for (topology::NodeId id = 0; id < graph_.node_count(); ++id) {
     const std::size_t capacity = capacity_of(id);
-    const bool participates = capacity > 0 && !failed_[id];
-    const std::size_t x = participates ? coordinated_x : 0;
-    std::vector<cache::ContentId> assigned;
-    if (participates) {
-      assigned = assignment_.per_router[alive_index];
-      ++alive_index;
-    }
+    const std::size_t x = plan.coordinated_capacity[id];
+    CCNOPT_ASSERT(x <= capacity);
     stores_[id] = std::make_unique<cache::PartitionedStore>(
         capacity, x,
         make_local_partition(
             config_.local_mode, capacity - x,
             config_.seed + 0x51ED2701ULL * (id + 1),
-            config_.use_reference_policies,
             cache::IndexSpec{config_.cache_index_mode, config_.catalog_size}),
-        std::move(assigned));
+        std::move(plan.assigned[id]));
   }
   rebuild_owner_table();
+  // Each epoch restarts the admission-coin stream so replications and
+  // repeated provisions are reproducible from the config seed alone.
+  strategy_rng_ = Rng(derive_seed(config_.seed, kStrategyRngStream));
   const NetworkMetricHandles& handles = NetworkMetricHandles::get();
   obs::metrics().incr(handles.provision_epochs);
   obs::metrics().incr(handles.provision_messages, assignment_.messages);
@@ -433,7 +379,6 @@ std::uint64_t CcnNetwork::provision_heterogeneous(
         make_local_partition(
             config_.local_mode, capacity - coordinated,
             config_.seed + 0x51ED2701ULL * (id + 1),
-            config_.use_reference_policies,
             cache::IndexSpec{config_.cache_index_mode, config_.catalog_size}),
         std::move(assigned));
   }
@@ -551,7 +496,7 @@ ServeResult CcnNetwork::serve_sharded(topology::NodeId first_hop,
   CCNOPT_ASSERT(!failed_[first_hop]);
   CCNOPT_ASSERT(content >= 1 && content <= config_.catalog_size);
   // The sharded engine only dispatches here under owner-table forwarding
-  // without peer-local fetch (sharded_run_supported), where the request
+  // without peer-local fetch (sharded_run_disqualifier), where the request
   // mutates nothing but its first-hop store — which this shard owns.
   CCNOPT_ASSERT(data_plane_.forwarding ==
                 strategy::ForwardingMode::kOwnerTable);

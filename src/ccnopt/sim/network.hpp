@@ -56,12 +56,6 @@ struct NetworkConfig {
     std::uint32_t extra_hops = 1;
   };
   std::vector<OriginSpec> origins;
-  /// When true, dynamic local partitions use the retained node-based
-  /// reference policies (cache/reference.hpp) instead of the flat intrusive
-  /// rewrites. The two sides are contractually byte-identical — this switch
-  /// exists so A/B tests can prove it on whole simulations; never enable it
-  /// for performance runs.
-  bool use_reference_policies = false;
   /// Membership-index selection for the flat local partitions: kAuto keeps
   /// the dense array for small catalogs and switches to the O(capacity)
   /// robin-hood index when catalog_size dwarfs the per-router capacity
@@ -75,11 +69,6 @@ struct NetworkConfig {
   /// Overrides the strategy's probabilistic-insertion base p when > 0
   /// (only meaningful for on-path strategies with kProbabilistic rules).
   double strategy_insertion_p = 0.0;
-  /// When true, provision() runs the retained pre-strategy coordinator code
-  /// path instead of dispatching through the bound PlacementStrategy. The
-  /// two are contractually byte-identical for `strategy = default`; this
-  /// switch exists so A/B tests can prove it on whole simulations.
-  bool use_legacy_coordinator_path = false;
   std::uint64_t seed = 42;
 };
 
@@ -332,9 +321,6 @@ class CcnNetwork {
                                 std::uint64_t& total_traversals,
                                 obs::TopoRecorder* topo);
 
-  /// The retained pre-strategy provision body (the byte-identity oracle for
-  /// CoordinatedSplitPlacement); reached via use_legacy_coordinator_path.
-  std::uint64_t provision_legacy(std::size_t coordinated_x);
   /// serve() body for kOnPath forwarding: walk the shortest path toward the
   /// content's origin gateway checking each en-route store, then seed
   /// copies along the recorded miss path per the insertion rule.

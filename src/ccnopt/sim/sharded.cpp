@@ -23,9 +23,6 @@
 // Windows truncate at timeline-epoch and warmup boundaries, so the epoch
 // recorder's end-of-epoch network snapshots see exactly the sequential
 // engine's state, and the phase clock stamps the warmup crossing exactly.
-// SimConfig::parallel_record = false runs the identical record bodies in
-// shard order on the calling thread — byte-identical by construction —
-// which is what bench_throughput_replay times to report record_speedup.
 #include "ccnopt/sim/sharded.hpp"
 
 #include <algorithm>
@@ -56,7 +53,7 @@ constexpr std::uint64_t kWindow = 32768;
 constexpr std::size_t kCompactThreshold = 65536;
 
 // One active router's arrival process: the same seeded clock sub-stream
-// the event loop uses, unrolled into an ascending absolute-time vector.
+// the batched engine uses, unrolled into an ascending absolute-time vector.
 // last_time += exponential() reproduces the loop's `top.time + draw` sums
 // bit for bit (both add the draw to the router's previous arrival time).
 struct RouterGen {
@@ -88,18 +85,9 @@ struct ShardState {
 
 }  // namespace
 
-bool sharded_run_supported(const SimConfig& config, const Workload& workload,
-                           const CcnNetwork& network) {
-  return config.shards > 1 && !config.interest_aggregation &&
-         workload.per_router_streams() &&
-         network.data_plane().forwarding ==
-             strategy::ForwardingMode::kOwnerTable &&
-         !network.config().allow_peer_local_fetch;
-}
-
-const char* sharded_unsupported_reason(const SimConfig& config,
-                                       const Workload& workload,
-                                       const CcnNetwork& network) {
+const char* sharded_run_disqualifier(const SimConfig& config,
+                                     const Workload& workload,
+                                     const CcnNetwork& network) {
   if (config.shards <= 1) return "shards <= 1";
   if (config.interest_aggregation) {
     return "interest aggregation needs the event loop's completion events";
@@ -114,7 +102,7 @@ const char* sharded_unsupported_reason(const SimConfig& config,
   if (network.config().allow_peer_local_fetch) {
     return "peer-local fetch couples router stores";
   }
-  return "run qualifies";
+  return nullptr;
 }
 
 SimReport Simulation::run_sharded_impl(ShardExecutor& executor) {
@@ -457,11 +445,7 @@ SimReport Simulation::run_sharded_impl(ShardExecutor& executor) {
       }
       shard.upstream += shard_upstream;
     };
-    if (config_.parallel_record) {
-      executor.run_shards(shard_count, record_shard);
-    } else {
-      for (std::size_t s = 0; s < shard_count; ++s) record_shard(s);
-    }
+    executor.run_shards(shard_count, record_shard);
     record_seconds_ +=
         std::chrono::duration<double>(Clock::now() - record_start).count();
     if (recorder) recorder->advance(window);

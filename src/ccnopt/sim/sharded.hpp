@@ -14,7 +14,7 @@
 // without seeing the global interleaving.
 //
 // The canonical global order is recovered, not simulated: each router's
-// arrival times ascend, so the event loop's pop order is the k-way merge
+// arrival times ascend, so the batched engine's pop order is the k-way merge
 // of the per-router sequences. The engine merges them window by window
 // (windows truncate at timeline-epoch and warmup boundaries, which never
 // changes merge order), serves each window's requests shard-parallel into
@@ -32,11 +32,12 @@
 // order. Only the per-window epoch-boundary flush, the trace-buffer
 // cursor merge, and final export remain serial.
 //
-// Tie-breaking caveat: the event loop breaks equal-time events by global
-// scheduling sequence, the merge by router index. The two differ only
-// when two DIFFERENT routers' clocks collide on the exact same double —
-// measure-zero for sums of continuous draws, and enforced empirically by
-// test_sim_shard_determinism across all Table II topologies.
+// Tie-breaking caveat: the batched engine breaks equal-time arrivals by
+// global scheduling sequence, the merge by router index. The two differ
+// only when two DIFFERENT routers' clocks collide on the exact same
+// double — measure-zero for sums of continuous draws, and pinned by the
+// golden digests (tests/test_golden_digests.cpp), whose every simulation
+// cell must give one digest at shards = 1 and at shards > 1.
 #pragma once
 
 #include <cstddef>
@@ -61,8 +62,7 @@ class ShardExecutor {
 };
 
 /// Runs the bodies one after another on the calling thread — the fallback
-/// when no executor is attached, and the single-threaded reference the
-/// A/B suite compares the pooled scheduler against.
+/// when no executor is attached.
 class SerialShardExecutor final : public ShardExecutor {
  public:
   void run_shards(std::size_t count,
@@ -71,22 +71,18 @@ class SerialShardExecutor final : public ShardExecutor {
   }
 };
 
-/// True when the run qualifies for the sharded engine: more than one shard
-/// requested, no interest aggregation (completion events need the event
-/// loop), per-router workload streams (the shards draw without seeing the
-/// global interleaving), and owner-table forwarding without peer-local
-/// fetch (the router-exclusive mutation argument above). Non-qualifying
-/// runs fall back to the single-thread engines — same outputs, by the
-/// bit-identity contract.
-bool sharded_run_supported(const SimConfig& config, const Workload& workload,
-                           const CcnNetwork& network);
-
-/// Human-readable disqualifier for a run with shards > 1 that
-/// sharded_run_supported() rejected — logged by Simulation::run() so a
-/// silent fallback can never masquerade as a sharded measurement.
-/// Returns "run qualifies" when nothing disqualifies it.
-const char* sharded_unsupported_reason(const SimConfig& config,
-                                       const Workload& workload,
-                                       const CcnNetwork& network);
+/// Why the run does not qualify for the sharded engine, or nullptr when
+/// it does. A run qualifies with more than one shard requested, no
+/// interest aggregation (completion events need the event loop),
+/// per-router workload streams (the shards draw without seeing the global
+/// interleaving), and owner-table forwarding without peer-local fetch (the
+/// router-exclusive mutation argument above). Non-qualifying runs fall
+/// back to the single-thread engines — same outputs, by the bit-identity
+/// contract — and Simulation::run() logs the returned reason when shards
+/// were requested, so a silent fallback can never masquerade as a sharded
+/// measurement.
+const char* sharded_run_disqualifier(const SimConfig& config,
+                                     const Workload& workload,
+                                     const CcnNetwork& network);
 
 }  // namespace ccnopt::sim

@@ -18,6 +18,15 @@ namespace ccnopt::sim {
 using detail::EpochRecorder;
 using detail::kTraceSeedIndex;
 
+namespace {
+
+// Requests per block of the batched engine: drawn from the arrival
+// processes, served in a tight loop with the next request's cache state
+// prefetched one iteration ahead, then recorded in emission order.
+constexpr std::uint64_t kBlock = 256;
+
+}  // namespace
+
 const std::vector<std::string>& timeline_columns() {
   static const std::vector<std::string> columns = {
       "requests",
@@ -62,20 +71,21 @@ SimReport Simulation::run() {
   // first-hop router and serve shards concurrently (bit-identical outputs
   // at any shard count); without an attached executor the shards run
   // serially, which keeps the engine testable single-threaded.
-  if (config_.shards > 1) {
-    if (sharded_run_supported(config_, *workload_, *network_)) {
-      if (shard_executor_ != nullptr) {
-        return run_sharded_impl(*shard_executor_);
-      }
-      SerialShardExecutor serial;
-      return run_sharded_impl(serial);
+  const char* const disqualifier =
+      sharded_run_disqualifier(config_, *workload_, *network_);
+  if (disqualifier == nullptr) {
+    if (shard_executor_ != nullptr) {
+      return run_sharded_impl(*shard_executor_);
     }
+    SerialShardExecutor serial;
+    return run_sharded_impl(serial);
+  }
+  if (config_.shards > 1) {
     // The fallback is bit-identical by contract, but far slower — never
-    // let a bench measure the event loop thinking it measured shards.
+    // let a bench measure one thread thinking it measured shards.
     CCNOPT_LOG(kWarn) << "sharded engine: shards=" << config_.shards
                       << " requested but the run does not qualify ("
-                      << sharded_unsupported_reason(config_, *workload_,
-                                                    *network_)
+                      << disqualifier
                       << "); falling back to the single-thread engine";
   }
   record_seconds_ = 0.0;
@@ -113,7 +123,6 @@ SimReport Simulation::run() {
   metrics.record_coordination_messages(messages);
 
   const obs::ScopedSpan replay_span("sim.replay");
-  EventQueue queue;
   const std::uint64_t total_requests =
       config_.warmup_requests + config_.measured_requests;
   std::uint64_t emitted = 0;
@@ -185,7 +194,8 @@ SimReport Simulation::run() {
 
   // Phase wall-clock: the batched engine aligns block ends to the warmup
   // boundary (truncation never changes the merge order) so the split is
-  // exact; the event loop stamps at the first measured emission.
+  // exact; the aggregation event loop stamps at the first measured
+  // emission.
   using Clock = std::chrono::steady_clock;
   const Clock::time_point replay_start = Clock::now();
   Clock::time_point warmup_end = replay_start;
@@ -197,17 +207,13 @@ SimReport Simulation::run() {
         std::chrono::duration<double>(Clock::now() - warmup_end).count();
   };
 
-  const bool batched =
-      !config_.interest_aggregation && config_.batch_size > 0;
-  if (batched) {
-    // Batched request engine. Without aggregation the event queue only ever
-    // holds arrival events, one per active router, each rescheduling itself
-    // on pop — so the queue's behaviour is replayed exactly by a k-way
-    // merge on (time, seq): initial seqs in router scheduling order, then a
-    // global counter incremented at each pop, just as EventQueue stamps
-    // schedule_after() calls. Per-router clocks and workload streams are
-    // touched in identical order to the event loop, so every stream,
-    // report, trace and metric export is bit-identical to batch_size = 0.
+  if (!config_.interest_aggregation) {
+    // Batched request engine. Without aggregation an event queue would only
+    // ever hold arrival events, one per active router, each rescheduling
+    // itself on pop — so the queue's behaviour is replayed exactly by a
+    // k-way merge on (time, seq): initial seqs in router scheduling order,
+    // then a global counter incremented at each pop, just as EventQueue
+    // stamps schedule_after() calls.
     struct NextArrival {
       SimTime time;
       std::uint64_t seq;
@@ -235,23 +241,20 @@ SimReport Simulation::run() {
       cache::ContentId content;
       std::uint32_t router;
     };
-    const std::size_t batch = static_cast<std::size_t>(config_.batch_size);
     std::vector<BlockEntry> block;
-    block.reserve(batch);
-    std::vector<ServeResult> results(batch);
+    block.reserve(kBlock);
+    std::vector<ServeResult> results(kBlock);
     while (emitted < total_requests) {
       // Generation pass: resolve the next block of (router, content) pairs
       // by replaying the queue's exact pop order.
       block.clear();
-      std::uint64_t want = std::min<std::uint64_t>(
-          config_.batch_size, total_requests - emitted);
+      std::uint64_t want = std::min(kBlock, total_requests - emitted);
       if (recorder) {
         // Align block ends to timeline epoch boundaries so the recorder's
         // end-of-epoch network-state snapshot (evictions, occupancy, link
-        // counters) sees exactly the requests of the epoch — the same state
-        // the event loop observes at that boundary. Truncating a block
-        // never changes the merge order, so the request streams (and thus
-        // every other output) stay bit-identical to full-size blocks.
+        // counters) sees exactly the requests of the epoch. Truncating a
+        // block never changes the merge order, so the request streams (and
+        // thus every other output) stay bit-identical to full-size blocks.
         const std::uint64_t to_boundary =
             config_.timeline_epoch - (emitted % config_.timeline_epoch);
         want = std::min(want, to_boundary);
@@ -296,7 +299,7 @@ SimReport Simulation::run() {
       // accumulation goes into per-router partials, and emission order
       // restricted to one router is that router's own order — so the
       // partials (and everything folded from them) are bit-identical to
-      // the event loop's.
+      // the sharded engine's.
       for (std::size_t i = 0; i < block.size(); ++i) {
         if (recorder) recorder->accumulate(block[i].router, results[i]);
         if (block[i].index < config_.warmup_requests) continue;
@@ -318,14 +321,17 @@ SimReport Simulation::run() {
     return report;
   }
 
-  // Pending Interest Table (per router x content): requests arriving while
-  // a fetch is in flight join it and complete at its completion event.
+  // Interest aggregation: the event loop, which alone has completion
+  // events. Pending Interest Table (per router x content): requests
+  // arriving while a fetch is in flight join it and complete at its
+  // completion event.
   // A joiner's latency is the remaining flight time — strictly less than a
   // fresh fetch would have cost it.
   struct PendingInterest {
     std::vector<std::pair<SimTime, bool>> joiners;  // (arrival, measured?)
   };
   std::unordered_map<std::uint64_t, PendingInterest> pit;
+  EventQueue queue;
   const std::uint64_t router_count = network_->router_count();
   const auto pit_key = [router_count](std::size_t router,
                                       cache::ContentId content) {
@@ -341,67 +347,52 @@ SimReport Simulation::run() {
     ++emitted;
     const cache::ContentId content = workload_->next(router);
 
-    if (!config_.interest_aggregation) {
+    const std::uint64_t key = pit_key(router, content);
+    const auto it = pit.find(key);
+    if (it != pit.end()) {
+      ++aggregated;
+      if (recorder) {
+        recorder->on_aggregated();
+        recorder->advance(1);
+      }
+      it->second.joiners.emplace_back(queue.now(), measured);
+    } else {
       const ServeResult result =
           network_->serve(static_cast<topology::NodeId>(router), content);
-      if (result.tier != ServeTier::kLocal) ++upstream;
       if (recorder) {
         recorder->accumulate(router, result);
         recorder->advance(1);
       }
-      if (measured) {
-        metrics.record(router, result.tier, result.latency_ms, result.hops);
-        if (topo != nullptr) topo_record(router, result);
-        maybe_trace(request_index, router, content, result);
-      }
-    } else {
-      const std::uint64_t key = pit_key(router, content);
-      const auto it = pit.find(key);
-      if (it != pit.end()) {
-        ++aggregated;
-        if (recorder) {
-          recorder->on_aggregated();
-          recorder->advance(1);
+      if (measured && topo != nullptr) topo_record(router, result);
+      if (result.tier == ServeTier::kLocal) {
+        if (measured) {
+          metrics.record(router, result.tier, result.latency_ms,
+                         result.hops);
+          maybe_trace(request_index, router, content, result);
         }
-        it->second.joiners.emplace_back(queue.now(), measured);
       } else {
-        const ServeResult result =
-            network_->serve(static_cast<topology::NodeId>(router), content);
-        if (recorder) {
-          recorder->accumulate(router, result);
-          recorder->advance(1);
+        ++upstream;
+        if (measured) {
+          maybe_trace(request_index, router, content, result);
         }
-        if (measured && topo != nullptr) topo_record(router, result);
-        if (result.tier == ServeTier::kLocal) {
-          if (measured) {
-            metrics.record(router, result.tier, result.latency_ms,
-                           result.hops);
-            maybe_trace(request_index, router, content, result);
-          }
-        } else {
-          ++upstream;
-          if (measured) {
-            maybe_trace(request_index, router, content, result);
-          }
-          pit.emplace(key, PendingInterest{});
-          queue.schedule_after(
-              result.latency_ms, [&metrics, &pit, &queue, key, result,
-                                  measured, router] {
-                if (measured) {
-                  metrics.record(router, result.tier, result.latency_ms,
-                                 result.hops);
+        pit.emplace(key, PendingInterest{});
+        queue.schedule_after(
+            result.latency_ms, [&metrics, &pit, &queue, key, result,
+                                measured, router] {
+              if (measured) {
+                metrics.record(router, result.tier, result.latency_ms,
+                               result.hops);
+              }
+              auto node = pit.extract(key);
+              CCNOPT_ASSERT(!node.empty());
+              for (const auto& [joined_at, joiner_measured] :
+                   node.mapped().joiners) {
+                if (joiner_measured) {
+                  metrics.record(router, result.tier,
+                                 queue.now() - joined_at, result.hops);
                 }
-                auto node = pit.extract(key);
-                CCNOPT_ASSERT(!node.empty());
-                for (const auto& [joined_at, joiner_measured] :
-                     node.mapped().joiners) {
-                  if (joiner_measured) {
-                    metrics.record(router, result.tier,
-                                   queue.now() - joined_at, result.hops);
-                  }
-                }
-              });
-        }
+              }
+            });
       }
     }
     queue.schedule_after(

@@ -37,21 +37,12 @@ struct SimConfig {
   /// in-flight time, so this is off by default;
   /// bench_ablation_aggregation measures what it saves.
   bool interest_aggregation = false;
-  /// Request-engine batching: requests are drawn from the arrival processes
-  /// in blocks of this many, then served in a tight loop with the next
-  /// request's cache state prefetched one iteration ahead, then recorded
-  /// into metrics/traces in emission order. Produces bit-identical reports,
-  /// traces and metric exports to the pure event loop (the only event kind
-  /// without aggregation is an arrival, and the block replays the queue's
-  /// exact (time, seq) pop order). 0 forces the event loop; interest
-  /// aggregation always uses the event loop (it needs completion events).
-  std::uint64_t batch_size = 256;
   /// Sampler implementation for the default Zipf workload: kAuto keeps the
   /// alias table at small catalogs and switches to the constant-memory
   /// rejection-inversion sampler at web-scale catalogs.
   popularity::SamplerKind sampler_kind = popularity::SamplerKind::kAuto;
   /// Sharded request engine: when > 1 (and the run qualifies — see
-  /// sharded_run_supported in sharded.hpp), the request stream is
+  /// sharded_run_disqualifier in sharded.hpp), the request stream is
   /// partitioned by first-hop router across this many shards, served
   /// against the one shared network, and folded back in canonical order.
   /// Every output (report, metrics, timeline, topo, traces) is
@@ -60,16 +51,8 @@ struct SimConfig {
   /// threads, otherwise the shards run serially on the calling thread.
   /// Runs that do not qualify fall back to the single-thread engines
   /// (with a one-line CCNOPT_LOG(kWarn) naming the disqualifier, so
-  /// bench runs cannot silently measure the event loop).
+  /// bench runs cannot silently measure a single thread).
   std::size_t shards = 1;
-  /// Sharded engine only: run the per-window record pass (metrics,
-  /// timeline partials, topo tier counters) shard-parallel on the
-  /// executor. The accumulators are per-router partials folded in
-  /// router-index order, so the serial walk (false) produces
-  /// byte-identical output — the knob exists to time the record pass
-  /// serial vs parallel (bench_throughput_replay's record_speedup) and
-  /// to A/B the two in test_sim_record_parallel.
-  bool parallel_record = true;
   std::uint64_t seed = 42;
   /// Time-resolved telemetry: when > 0, the run accumulates an
   /// obs::Timeline with one row per `timeline_epoch` emitted requests

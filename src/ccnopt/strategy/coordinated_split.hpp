@@ -2,8 +2,8 @@
 // sim/network.cpp's provision(): every participant keeps the top c - x
 // popularity ranks locally and contributes x slots to a coordinated pool
 // covering the next n * x ranks, dealt round-robin by the Coordinator.
-// Its plan is byte-identical to the pre-extraction coordinator path —
-// tests/test_strategy_ab_identity.cpp enforces that on whole simulations.
+// Its whole-simulation outputs are pinned by the golden digests
+// (tests/test_golden_digests.cpp).
 #pragma once
 
 #include "ccnopt/strategy/strategy.hpp"

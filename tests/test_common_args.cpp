@@ -87,5 +87,63 @@ TEST(ArgParser, EmptyCommandLine) {
   EXPECT_TRUE(parser->positional().empty());
 }
 
+ArgReader reader(std::initializer_list<const char*> args) {
+  std::vector<const char*> argv{"tool"};
+  argv.insert(argv.end(), args.begin(), args.end());
+  return ArgReader(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(ArgReader, ReadsCountsNumbersTextAndFlags) {
+  ArgReader args = reader({"us-a", "0.5", "7", "--threads", "4", "--label",
+                           "big", "--fast"});
+  EXPECT_EQ(args.text_at(0, ""), "us-a");
+  EXPECT_EQ(args.number_at(1, 0.0), 0.5);
+  EXPECT_EQ(args.count_at(2, 0), 7u);
+  EXPECT_EQ(args.count_at(3, 9), 9u);  // absent positional: fallback
+  EXPECT_EQ(args.count("threads", 1), 4u);
+  EXPECT_EQ(args.text("label", ""), "big");
+  EXPECT_TRUE(args.flag("fast"));
+  EXPECT_FALSE(args.flag("slow"));
+  EXPECT_EQ(args.count("requests", 60000), 60000u);
+  EXPECT_TRUE(args.finish(3));
+  EXPECT_TRUE(args.error().empty());
+}
+
+TEST(ArgReader, RejectsMalformedCounts) {
+  for (const char* bad : {"abc", "-3", "4x", "", "99999999999999999999"}) {
+    ArgReader args = reader({"--threads", bad});
+    EXPECT_EQ(args.count("threads", 1), 1u) << bad;
+    EXPECT_FALSE(args.finish()) << bad;
+    EXPECT_NE(args.error().find("--threads"), std::string::npos) << bad;
+  }
+}
+
+TEST(ArgReader, RejectsMalformedNumbers) {
+  for (const char* bad : {"x", "inf", "0.5y", ""}) {
+    ArgReader args = reader({bad});
+    EXPECT_EQ(args.number_at(0, 0.8), 0.8) << bad;
+    EXPECT_FALSE(args.finish(1)) << bad;
+    EXPECT_NE(args.error().find("argument 1"), std::string::npos) << bad;
+  }
+}
+
+TEST(ArgReader, RejectsUnknownFlagsAndSurplusPositionals) {
+  ArgReader unknown = reader({"--bogus", "3"});
+  EXPECT_FALSE(unknown.finish());
+  EXPECT_EQ(unknown.error(), "unknown flag --bogus");
+
+  ArgReader surplus = reader({"a", "b"});
+  EXPECT_EQ(surplus.text_at(0, ""), "a");
+  EXPECT_FALSE(surplus.finish(1));
+  EXPECT_EQ(surplus.error(), "unexpected argument 'b'");
+}
+
+TEST(ArgReader, FlagGivenAValueIsAnError) {
+  ArgReader args = reader({"--fixed-warmup=yes"});
+  EXPECT_TRUE(args.flag("fixed-warmup"));
+  EXPECT_FALSE(args.finish());
+  EXPECT_EQ(args.error(), "--fixed-warmup takes no value");
+}
+
 }  // namespace
 }  // namespace ccnopt

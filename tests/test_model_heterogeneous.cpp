@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
+
+#include "ccnopt/common/random.hpp"
 
 #include "ccnopt/model/optimizer.hpp"
 #include "ccnopt/model/performance.hpp"
@@ -150,6 +154,34 @@ TEST(HeterogeneousModel, MatchesHomogeneousOptimizerOnEqualCapacities) {
               1e-4 * homo_result->objective);
   EXPECT_NEAR(hetero_result->coordination_level(hetero.params()),
               homo_result->ell_star, 0.01);
+}
+
+TEST(HeterogeneousModel, NoJointRandomMoveImprovesOnDescent) {
+  // Independent oracle for coordinate descent: random moves of the whole
+  // x vector at once — which coordinate descent never tries — must not
+  // find a meaningfully better heterogeneous provisioning.
+  HeterogeneousParams hp =
+      HeterogeneousParams::from_homogeneous(homogeneous_base());
+  hp.capacities.resize(6);
+  for (std::size_t i = 0; i < hp.capacities.size(); ++i) {
+    hp.capacities[i] = (i % 2 == 0) ? 600.0 : 1400.0;
+  }
+  const HeterogeneousModel hetero(hp);
+  const auto descent = hetero.optimize_coordinate_descent();
+  ASSERT_TRUE(descent.has_value());
+
+  Rng rng(20240806);
+  double best = descent->objective;
+  for (int probe = 0; probe < 2000; ++probe) {
+    const double radius = probe % 2 == 0 ? 5.0 : 100.0;
+    std::vector<double> x = descent->x;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      x[i] = std::clamp(x[i] + rng.uniform(-radius, radius), 0.0,
+                        hp.capacities[i]);
+    }
+    best = std::min(best, hetero.objective(x));
+  }
+  EXPECT_GE(best, descent->objective - 1e-4 * descent->objective);
 }
 
 TEST(HeterogeneousModel, RequestShareWeighting) {

@@ -138,24 +138,6 @@ TEST(SimTimeline, LinkColumnsAreZeroWhenTrackingIsOff) {
   EXPECT_EQ(column_sum(simulation.timeline(), "max_link_load"), 0.0);
 }
 
-TEST(SimTimeline, BatchedEngineMatchesEventLoopAtUnalignedEpochs) {
-  // Epoch size 333 never divides the 256-request block, so the batched
-  // engine must truncate blocks at epoch boundaries to snapshot the same
-  // network state the event loop sees.
-  sim::SimConfig batched = small_config();
-  batched.timeline_epoch = 333;
-  batched.batch_size = 256;
-  sim::SimConfig event = batched;
-  event.batch_size = 0;
-
-  sim::Simulation batched_sim(topology::geant(), batched);
-  batched_sim.run();
-  sim::Simulation event_sim(topology::geant(), event);
-  event_sim.run();
-  EXPECT_EQ(timeline_bytes(batched_sim.timeline()),
-            timeline_bytes(event_sim.timeline()));
-}
-
 TEST(SimTimeline, AggregatedColumnAccountsForInterestJoiners) {
   sim::SimConfig config = small_config();
   config.interest_aggregation = true;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "ccnopt/topology/shortest_paths.hpp"
 
 namespace ccnopt::topology {
@@ -13,6 +15,12 @@ struct TableIIRow {
   std::size_t v;
   std::size_t e;
 };
+
+// Prints the dataset name so discovered test names are the same on every
+// build; the default byte dump would include the address of `name`.
+void PrintTo(const TableIIRow& row, std::ostream* os) {
+  *os << row.name;
+}
 
 class Datasets : public ::testing::TestWithParam<TableIIRow> {};
 

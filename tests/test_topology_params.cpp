@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "ccnopt/topology/datasets.hpp"
 #include "ccnopt/topology/generators.hpp"
 
@@ -52,6 +54,12 @@ struct Table3Expectation {
   double paper_w_ms;
   double paper_hops;
 };
+
+// Prints the dataset name so discovered test names are the same on every
+// build; the default byte dump would include the address of `name`.
+void PrintTo(const Table3Expectation& row, std::ostream* os) {
+  *os << row.name;
+}
 
 class Table3Ballpark : public ::testing::TestWithParam<Table3Expectation> {};
 

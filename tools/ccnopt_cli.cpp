@@ -7,7 +7,7 @@
 //                    [--policy=static|lru|lfu|fifo|random] [--s=0.8]
 //                    [--strategy=coordinated-split] [--catalog=20000]
 //                    [--c=200] [--seed=42] [--replications=1] [--threads=N]
-//                    [--shards=S] [--serial-record] [--trace-out=path]
+//                    [--shards=S] [--trace-out=path]
 //                    [--trace-sample=K]
 //
 // --strategy picks a registered caching strategy (coordinated-split, lce,
@@ -21,9 +21,8 @@
 // (sharded request engine; see DESIGN.md §14). Outputs are bit-identical to
 // --shards=1 for any S. Configurations the sharded engine cannot shard
 // exactly (interest aggregation, on-path strategies, globally coupled
-// workloads) run the event loop instead and log the disqualifying reason.
-// --serial-record runs the sharded engine's record pass serially (timing
-// A/B; see DESIGN.md §15) — outputs are bit-identical with or without it.
+// workloads) run a single-thread engine instead and log the disqualifying
+// reason.
 //
 // Observability (any subcommand):
 //   --metrics-out=path   deterministic metrics registry snapshot (.csv → CSV,
@@ -437,10 +436,6 @@ int cmd_simulate(const ArgParser& args) {
                        "--shards must be in [1, 256]"));
   }
   config.shards = static_cast<std::size_t>(*shards);
-  // --serial-record keeps the sharded engine's record pass on the calling
-  // thread (same bodies, shard order) — outputs are bit-identical either
-  // way; the flag exists so CI can cmp the two paths end to end.
-  config.parallel_record = !args.has("serial-record");
   if (*replications > 1) {
     runtime::ThreadPool pool(*threads);
     const runtime::ReplicationRunner runner(pool);

@@ -34,21 +34,19 @@ TARGETS=(
   test_popularity_sampler
   test_strategy_registry
   test_strategy_properties
-  test_strategy_ab_identity
   test_obs_topo
   test_sim_topo
-  test_sim_shard_determinism
-  test_sim_record_parallel
+  test_golden_digests
   test_runtime_shard_scheduler
 )
 
 # The shard suites exercise real cross-thread execution; TSan-build these
-# on top of the ASan pass. test_sim_record_parallel drives the parallel
-# record pass, which writes per-router metric/epoch/topo partials from
-# pool threads — TSan proves the router partition extends to recording.
+# on top of the ASan pass. test_golden_digests runs every simulation cell
+# on a pooled ShardScheduler, whose serve and record passes write cache
+# stores and per-router metric/epoch/topo partials from pool threads —
+# TSan proves the router partition really is race-free.
 TSAN_TARGETS=(
-  test_sim_shard_determinism
-  test_sim_record_parallel
+  test_golden_digests
   test_runtime_shard_scheduler
 )
 

@@ -17,6 +17,7 @@
 // data file's format. An intentional output change is therefore a
 // reviewed one-line diff of tests/golden/digests.txt; there is no update
 // flag.
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
@@ -45,6 +46,7 @@
 #include "ccnopt/sim/simulation.hpp"
 #include "ccnopt/sim/workload.hpp"
 #include "ccnopt/topology/datasets.hpp"
+#include "ccnopt/topology/generators.hpp"
 
 namespace ccnopt::sim {
 namespace {
@@ -112,11 +114,47 @@ using WorkloadFactory =
 
 struct Cell {
   std::string name;
-  std::string topology;
+  std::string topology;  // a dataset name, or "waxman150"
   SimConfig config;
   WorkloadFactory workload;  // empty: the default Zipf workload
   std::size_t shards = 4;    // shard count of the two sharded runs
   std::size_t replications = 0;  // > 0: a ReplicationRunner cell
+  std::vector<topology::NodeId> failed;  // routers failed before run()
+};
+
+/// The cell's graph: a Table II dataset, or a fixed 150-node Waxman graph
+/// (large-n routing, far past the datasets' 20-40 routers).
+topology::Graph cell_graph(const std::string& name) {
+  if (name == "waxman150") {
+    Rng rng(150);
+    return topology::make_waxman(150, rng);
+  }
+  return *topology::dataset_by_name(name);
+}
+
+/// The default Zipf workload with some routers silenced: failed routers
+/// must not originate requests.
+class InactiveRoutersWorkload final : public Workload {
+ public:
+  InactiveRoutersWorkload(const topology::Graph& graph, const SimConfig& config,
+                          std::vector<topology::NodeId> inactive)
+      : zipf_(graph.node_count(), config.network.catalog_size, config.zipf_s,
+              config.seed, config.sampler_kind),
+        inactive_(std::move(inactive)) {}
+
+  cache::ContentId next(std::size_t router) override {
+    return zipf_.next(router);
+  }
+  std::uint64_t catalog_size() const override { return zipf_.catalog_size(); }
+  bool active(std::size_t router) const override {
+    return std::find(inactive_.begin(), inactive_.end(), router) ==
+           inactive_.end();
+  }
+  bool per_router_streams() const override { return true; }
+
+ private:
+  ZipfWorkload zipf_;
+  std::vector<topology::NodeId> inactive_;
 };
 
 /// The shared base of every cell (the sharded-engine suite's historical
@@ -150,7 +188,7 @@ std::vector<Cell> make_cells() {
   const auto add = [&cells](std::string name, std::string topology,
                             SimConfig config) -> Cell& {
     cells.push_back(Cell{std::move(name), std::move(topology),
-                         std::move(config), {}, 4, 0});
+                         std::move(config), {}, 4, 0, {}});
     return cells.back();
   };
 
@@ -238,6 +276,32 @@ std::vector<Cell> make_cells() {
     add("edge_timeline_epoch_7", "geant", config);
   }
 
+  {
+    // 150 routers under LCD: large-n routing and the gateway walk.
+    SimConfig config = base_config();
+    config.network.strategy = "lcd";
+    add("edge_waxman150_lcd", "waxman150", config);
+  }
+  {
+    // A non-gateway router failed before run(): routing around it (US-A
+    // router 9 lies on 102 of the shortest paths between other routers),
+    // and provisioning over the survivors.
+    const SimConfig config = base_config();
+    Cell& cell = add("edge_failed_router", "us-a", config);
+    cell.failed = {9};
+    cell.workload = [config](const topology::Graph& graph) {
+      return std::make_unique<InactiveRoutersWorkload>(
+          graph, config, std::vector<topology::NodeId>{9});
+    };
+  }
+  {
+    // Traced hop paths with neither link tracking nor topo recording.
+    SimConfig config = base_config();
+    config.record_topo = false;
+    config.network.track_link_load = false;
+    add("edge_untracked_traces", "geant", config);
+  }
+
   // ReplicationRunner cells: merged traces, timeline and topo, and the
   // registry after all replications.
   const auto add_replicated = [&](std::string name, std::string topology,
@@ -281,9 +345,13 @@ std::vector<std::string> cell_names() {
 /// One simulation from a clean global registry, reduced to its digest.
 std::uint64_t run_digest(const topology::Graph& graph, const SimConfig& config,
                          const WorkloadFactory& workload,
-                         ShardExecutor* executor) {
+                         ShardExecutor* executor,
+                         const std::vector<topology::NodeId>& failed = {}) {
   obs::metrics().reset();
   Simulation sim(graph, config);
+  for (const topology::NodeId router : failed) {
+    sim.network().set_router_failed(router, true);
+  }
   if (workload) sim.set_workload(workload(graph));
   if (executor != nullptr) sim.set_shard_executor(executor);
   const SimReport report = sim.run();
@@ -348,7 +416,7 @@ class GoldenDigest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(GoldenDigest, MatchesCommittedDigest) {
   const Cell& cell = cell_named(GetParam());
-  const topology::Graph graph = *topology::dataset_by_name(cell.topology);
+  const topology::Graph graph = cell_graph(cell.topology);
   const std::string expected = committed_digest(cell.name);
 
   // Every way of running the cell must land on the committed digest.
@@ -359,15 +427,16 @@ TEST_P(GoldenDigest, MatchesCommittedDigest) {
   } else {
     SimConfig config = cell.config;
     config.shards = 1;
-    ways["shards=1"] = run_digest(graph, config, cell.workload, nullptr);
+    ways["shards=1"] =
+        run_digest(graph, config, cell.workload, nullptr, cell.failed);
     config.shards = cell.shards;
     SerialShardExecutor serial;
     ways["serial shards=" + std::to_string(cell.shards)] =
-        run_digest(graph, config, cell.workload, &serial);
+        run_digest(graph, config, cell.workload, &serial, cell.failed);
     runtime::ThreadPool pool(4);
     runtime::ShardScheduler scheduler(pool);
     ways["pooled shards=" + std::to_string(cell.shards)] =
-        run_digest(graph, config, cell.workload, &scheduler);
+        run_digest(graph, config, cell.workload, &scheduler, cell.failed);
   }
   for (const auto& [way, digest] : ways) {
     EXPECT_EQ(hex(digest), expected)

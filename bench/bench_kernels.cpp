@@ -9,6 +9,8 @@
 #include "ccnopt/popularity/sampler.hpp"
 #include "ccnopt/sim/network.hpp"
 #include "ccnopt/topology/datasets.hpp"
+#include "ccnopt/topology/generators.hpp"
+#include "ccnopt/topology/route_table.hpp"
 #include "ccnopt/topology/shortest_paths.hpp"
 
 namespace {
@@ -79,6 +81,15 @@ void BM_AllPairsCernet(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AllPairsCernet);
+
+void BM_RouteTableWaxman1000(benchmark::State& state) {
+  Rng rng(1000);
+  const topology::Graph graph = topology::make_waxman(1000, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(topology::RouteTable(graph));
+  }
+}
+BENCHMARK(BM_RouteTableWaxman1000)->Unit(benchmark::kMillisecond);
 
 void BM_OptimizeExactFirstOrder(benchmark::State& state) {
   const model::SystemParams params =

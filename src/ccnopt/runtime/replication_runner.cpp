@@ -25,6 +25,18 @@ MetricSummary summarize(const std::vector<sim::SimReport>& reports,
 
 }  // namespace
 
+std::shared_ptr<const topology::RouteTable> build_route_table(
+    ThreadPool& pool, const topology::Graph& graph) {
+  const obs::ScopedSpan span("replication.route_table");
+  return std::make_shared<const topology::RouteTable>(
+      graph, std::vector<bool>{},
+      [&pool](std::size_t blocks,
+              const std::function<void(std::size_t)>& body) {
+        // One task per block, so uneven rows still balance.
+        parallel_for(pool, blocks, body, blocks);
+      });
+}
+
 ReplicationSummary ReplicationRunner::run(const topology::Graph& graph,
                                           const sim::SimConfig& base,
                                           std::size_t replications) const {
@@ -37,12 +49,14 @@ ReplicationSummary ReplicationRunner::run(const topology::Graph& graph,
   std::vector<obs::TraceBuffer> trace_slots(replications);
   std::vector<obs::Timeline> timeline_slots(replications);
   std::vector<obs::TopoRecorder> topo_slots(replications);
+  const std::shared_ptr<const topology::RouteTable> routes =
+      build_route_table(pool_, graph);
   parallel_for(pool_, replications, [&](std::size_t i) {
     const obs::ScopedSpan sim_span("replication.sim");
     sim::SimConfig config = base;
     config.seed = derive_seed(base.seed, i);
     config.network.seed = derive_seed(config.seed, 1);
-    sim::Simulation simulation(graph, config);
+    sim::Simulation simulation(graph, config, routes);
     summary.reports[i] = simulation.run();
     if (base.trace_sample_k > 0) trace_slots[i] = simulation.traces();
     if (base.timeline_epoch > 0) timeline_slots[i] = simulation.timeline();

@@ -91,7 +91,8 @@ std::vector<topology::NodeId> CcnNetwork::find_participants(
   return participants;
 }
 
-CcnNetwork::CcnNetwork(topology::Graph graph, NetworkConfig config)
+CcnNetwork::CcnNetwork(topology::Graph graph, NetworkConfig config,
+                       std::shared_ptr<const topology::RouteTable> routes)
     : graph_(std::move(graph)),
       config_(std::move(config)),
       coordinator_(find_participants(graph_, config_)) {
@@ -112,19 +113,11 @@ CcnNetwork::CcnNetwork(topology::Graph graph, NetworkConfig config)
   for (const NetworkConfig::OriginSpec& origin : origins_) {
     CCNOPT_EXPECTS(origin.gateway < graph_.node_count());
   }
+  CCNOPT_EXPECTS(routes == nullptr ||
+                 routes->node_count() == graph_.node_count());
   stores_.resize(graph_.node_count());
   failed_.assign(graph_.node_count(), false);
-  // Dense link index (min,max) -> position in graph().links() order, built
-  // once; parent_link_ rebuilds consult it, serve() never does.
-  const auto n = static_cast<std::uint64_t>(graph_.node_count());
-  const auto& links = graph_.links();
-  link_index_.reserve(links.size());
-  for (std::uint32_t i = 0; i < links.size(); ++i) {
-    const std::uint64_t key =
-        static_cast<std::uint64_t>(links[i].u) * n + links[i].v;
-    link_index_.emplace(key, i);
-  }
-  link_counts_.assign(links.size(), 0);
+  link_counts_.assign(graph_.links().size(), 0);
   // Bind the strategy once per run: the virtual objects live in bundle_,
   // and serve() only ever reads the POD data_plane_ descriptor.
   Expected<strategy::StrategyBundle> bundle =
@@ -136,61 +129,18 @@ CcnNetwork::CcnNetwork(topology::Graph graph, NetworkConfig config)
     CCNOPT_EXPECTS(config_.strategy_insertion_p <= 1.0);
     data_plane_.insertion.p = config_.strategy_insertion_p;
   }
-  rebuild_routing();
+  rebuild_routing(std::move(routes));
   provision(0);
 }
 
-void CcnNetwork::rebuild_routing() {
-  const obs::ScopedSpan span("network.rebuild_routing");
+void CcnNetwork::rebuild_routing(
+    std::shared_ptr<const topology::RouteTable> shared) {
   obs::metrics().incr(NetworkMetricHandles::get().routing_rebuilds);
-  paths_ = topology::all_pairs_filtered(graph_, failed_);
-  if (config_.track_link_load) {
-    const auto n = static_cast<std::uint64_t>(graph_.node_count());
-    trees_.clear();
-    trees_.reserve(graph_.node_count());
-    parent_link_.clear();
-    parent_link_.reserve(graph_.node_count());
-    for (topology::NodeId src = 0; src < graph_.node_count(); ++src) {
-      trees_.push_back(topology::dijkstra_filtered(graph_, src, failed_));
-      const topology::SsspResult& tree = trees_.back();
-      std::vector<std::uint32_t> tree_links(graph_.node_count(), kNoLink);
-      for (topology::NodeId v = 0; v < graph_.node_count(); ++v) {
-        const topology::NodeId p = tree.parent[v];
-        if (p == topology::kNoParent) continue;
-        const std::uint64_t key =
-            static_cast<std::uint64_t>(std::min(p, v)) * n + std::max(p, v);
-        tree_links[v] = link_index_.at(key);
-      }
-      parent_link_.push_back(std::move(tree_links));
-    }
+  if (shared == nullptr) {
+    const obs::ScopedSpan span("network.rebuild_routing");
+    shared = std::make_shared<const topology::RouteTable>(graph_, failed_);
   }
-  // On-path forwarding walks toward the origin gateway along its shortest-
-  // path tree (parent[u] = next hop from u toward the gateway); owner-table
-  // strategies never consult these, so skip the Dijkstra runs for them.
-  origin_trees_.clear();
-  if (data_plane_.forwarding == strategy::ForwardingMode::kOnPath) {
-    origin_trees_.reserve(origins_.size());
-    for (const NetworkConfig::OriginSpec& origin : origins_) {
-      origin_trees_.push_back(
-          topology::dijkstra_filtered(graph_, origin.gateway, failed_));
-    }
-  }
-  // Origin route costs fold d0, the (possibly failure-filtered) shortest
-  // path, and the spec's extra cost into one load per request.
-  origin_routes_.assign(graph_.node_count() * origins_.size(), OriginRoute{});
-  for (topology::NodeId src = 0; src < graph_.node_count(); ++src) {
-    for (std::size_t o = 0; o < origins_.size(); ++o) {
-      const NetworkConfig::OriginSpec& origin = origins_[o];
-      OriginRoute& route = origin_routes_[src * origins_.size() + o];
-      if (paths_.latency_ms(src, origin.gateway) >= topology::kUnreachable) {
-        continue;  // stays unreachable
-      }
-      route.latency_ms = config_.access_latency_d0_ms +
-                         paths_.latency_ms(src, origin.gateway) +
-                         origin.extra_ms;
-      route.hops = paths_.hops(src, origin.gateway) + origin.extra_hops;
-    }
-  }
+  routes_ = std::move(shared);
 }
 
 void CcnNetwork::rebuild_owner_table() {
@@ -216,22 +166,13 @@ void CcnNetwork::rebuild_owner_table() {
   }
 }
 
-void CcnNetwork::record_path(topology::NodeId src, topology::NodeId dst) {
-  record_path_into(src, dst, link_counts_, total_traversals_);
-}
-
-void CcnNetwork::record_path_into(topology::NodeId src, topology::NodeId dst,
-                                  std::vector<std::uint64_t>& counts,
-                                  std::uint64_t& total) const {
-  if (!config_.track_link_load || src == dst) return;
-  const topology::SsspResult& tree = trees_[src];
-  const std::vector<std::uint32_t>& tree_links = parent_link_[src];
-  for (topology::NodeId v = dst; v != src;) {
-    const topology::NodeId p = tree.parent[v];
-    CCNOPT_ASSERT(p != topology::kNoParent);
-    ++counts[tree_links[v]];
+void CcnNetwork::record_path(topology::NodeId src, topology::NodeId dst,
+                             std::vector<std::uint64_t>& counts,
+                             std::uint64_t& total) const {
+  if (!config_.track_link_load) return;
+  for (topology::NodeId v = dst; v != src; v = routes_->parent(src, v)) {
+    ++counts[routes_->route(src, v).parent_link];
     ++total;
-    v = p;
   }
 }
 
@@ -276,7 +217,7 @@ void CcnNetwork::set_router_failed(topology::NodeId id, bool failed) {
   }
   if (failed_[id] == failed) return;
   failed_[id] = failed;
-  rebuild_routing();
+  rebuild_routing();  // a private table: any shared one stays untouched
 }
 
 bool CcnNetwork::is_failed(topology::NodeId id) const {
@@ -432,15 +373,16 @@ ServeResult CcnNetwork::serve_owner_table(
   // dense owner table. A failed or unreachable owner means the content is
   // lost until repair.
   const topology::NodeId owner = owner_of(content);
-  if (owner != kNoOwner && owner != first_hop && !failed_[owner] &&
-      paths_.latency_ms(first_hop, owner) < topology::kUnreachable) {
-    record_path_into(first_hop, owner, link_counts, total_traversals);
-    ServeResult result{
-        ServeTier::kNetwork,
-        config_.access_latency_d0_ms + paths_.latency_ms(first_hop, owner),
-        paths_.hops(first_hop, owner), owner, false};
-    result.placement_depth = placement_depth;
-    return result;
+  if (owner != kNoOwner && owner != first_hop && !failed_[owner]) {
+    const topology::Route& path = routes_->route(first_hop, owner);
+    if (path.latency_ms < topology::kUnreachable) {
+      record_path(first_hop, owner, link_counts, total_traversals);
+      ServeResult result{ServeTier::kNetwork,
+                         config_.access_latency_d0_ms + path.latency_ms,
+                         path.hops, owner, false};
+      result.placement_depth = placement_depth;
+      return result;
+    }
   }
 
   // Optional opportunistic replica lookup in peers' local partitions.
@@ -450,35 +392,40 @@ ServeResult CcnNetwork::serve_owner_table(
     for (const topology::NodeId peer : coordinator_.participants()) {
       if (peer == first_hop || failed_[peer]) continue;
       if (!stores_[peer]->contains(content)) continue;
-      const double latency = paths_.latency_ms(first_hop, peer);
+      const double latency = routes_->route(first_hop, peer).latency_ms;
       if (latency < best_latency) {
         best_latency = latency;
         best_peer = peer;
       }
     }
     if (best_peer != first_hop) {
-      record_path_into(first_hop, best_peer, link_counts, total_traversals);
+      record_path(first_hop, best_peer, link_counts, total_traversals);
       ServeResult result{ServeTier::kNetwork,
                          config_.access_latency_d0_ms + best_latency,
-                         paths_.hops(first_hop, best_peer), best_peer, false};
+                         routes_->route(first_hop, best_peer).hops, best_peer,
+                         false};
       result.placement_depth = placement_depth;
       return result;
     }
   }
 
-  // Origin: the gateway hosting this content's origin server. It must
-  // remain reachable from every alive router. The route cost (d0 + path +
-  // origin extra) was folded into one precomputed entry per (router, spec).
-  const std::size_t origin_index = content % origins_.size();
-  const OriginRoute& route =
-      origin_routes_[first_hop * origins_.size() + origin_index];
-  CCNOPT_ASSERT(route.latency_ms < topology::kUnreachable);
-  const topology::NodeId gateway = origins_[origin_index].gateway;
-  record_path_into(first_hop, gateway, link_counts, total_traversals);
-  ServeResult result{ServeTier::kOrigin, route.latency_ms, route.hops, gateway,
-                     false};
+  // Origin: the gateway hosting this content's origin server.
+  ServeResult result = origin_result(first_hop, content);
+  record_path(first_hop, result.served_by, link_counts, total_traversals);
   result.placement_depth = placement_depth;
   return result;
+}
+
+ServeResult CcnNetwork::origin_result(topology::NodeId first_hop,
+                                      cache::ContentId content) const {
+  // The gateway must remain reachable from every alive router.
+  const NetworkConfig::OriginSpec& origin = origins_[content % origins_.size()];
+  const topology::Route& path = routes_->route(first_hop, origin.gateway);
+  CCNOPT_ASSERT(path.latency_ms < topology::kUnreachable);
+  return ServeResult{
+      ServeTier::kOrigin,
+      config_.access_latency_d0_ms + path.latency_ms + origin.extra_ms,
+      path.hops + origin.extra_hops, origin.gateway, false};
 }
 
 CcnNetwork::ShardScratch CcnNetwork::make_shard_scratch(
@@ -517,10 +464,12 @@ void CcnNetwork::fold_shard_scratch(ShardScratch& scratch) {
 
 ServeResult CcnNetwork::serve_on_path(topology::NodeId first_hop,
                                       cache::ContentId content) {
-  const std::size_t origin_index = content % origins_.size();
-  const topology::NodeId gateway = origins_[origin_index].gateway;
-  const topology::SsspResult& tree = origin_trees_[origin_index];
-  CCNOPT_ASSERT(tree.latency_ms[first_hop] < topology::kUnreachable);
+  const topology::NodeId gateway =
+      origins_[content % origins_.size()].gateway;
+  // Latencies come from the gateway's row, as the walk does: a path's two
+  // directions can round differently.
+  const double first_hop_ms = routes_->route(gateway, first_hop).latency_ms;
+  CCNOPT_ASSERT(first_hop_ms < topology::kUnreachable);
 
   // Walk first_hop -> gateway along the gateway-rooted shortest-path tree,
   // consulting each en-route store; misses are recorded so the insertion
@@ -538,8 +487,8 @@ ServeResult CcnNetwork::serve_on_path(topology::NodeId first_hop,
                              0, node, store.coordinated_contains(content)};
       } else {
         const double path_ms =
-            tree.latency_ms[first_hop] - tree.latency_ms[node];
-        record_path(first_hop, node);
+            first_hop_ms - routes_->route(gateway, node).latency_ms;
+        record_path(first_hop, node, link_counts_, total_traversals_);
         result = ServeResult{
             ServeTier::kNetwork, config_.access_latency_d0_ms + path_ms,
             static_cast<std::uint32_t>(miss_path_.size()), node, false};
@@ -549,18 +498,13 @@ ServeResult CcnNetwork::serve_on_path(topology::NodeId first_hop,
     }
     miss_path_.push_back(node);
     if (node == gateway) break;
-    node = tree.parent[node];
-    CCNOPT_ASSERT(node != topology::kNoParent);
+    node = routes_->parent(gateway, node);
   }
 
   // Every en-route store missed: the origin serves, and the whole walked
   // path (first hop through gateway) is the miss path.
-  const OriginRoute& route =
-      origin_routes_[first_hop * origins_.size() + origin_index];
-  CCNOPT_ASSERT(route.latency_ms < topology::kUnreachable);
-  record_path(first_hop, gateway);
-  ServeResult result{ServeTier::kOrigin, route.latency_ms, route.hops, gateway,
-                     false};
+  ServeResult result = origin_result(first_hop, content);
+  record_path(first_hop, gateway, link_counts_, total_traversals_);
   result.placement_depth = apply_insertion_rule(content);
   return result;
 }
@@ -648,30 +592,16 @@ std::vector<topology::NodeId> CcnNetwork::hop_path(
     CCNOPT_ASSERT(!path.empty() && path.front() == first_hop);
     return path;
   }
-  const topology::NodeId dst = result.served_by;
-  if (dst == first_hop) {
-    // Origin behind the requester's own gateway: no router-to-router hops.
-    path.push_back(first_hop);
-    return path;
+  // Walk first_hop's tree from the serving router back: the path
+  // record_path() counts link loads on ({first_hop} when the origin hangs
+  // off the requester's own gateway).
+  for (topology::NodeId v = result.served_by; v != first_hop;
+       v = routes_->parent(first_hop, v)) {
+    path.push_back(v);
   }
-  if (config_.track_link_load) {
-    // Walk the precomputed first_hop-rooted tree from the destination back.
-    const topology::SsspResult& tree = trees_[first_hop];
-    for (topology::NodeId v = dst; v != first_hop;) {
-      path.push_back(v);
-      const topology::NodeId parent = tree.parent[v];
-      CCNOPT_ASSERT(parent != topology::kNoParent);
-      v = parent;
-    }
-    path.push_back(first_hop);
-    std::reverse(path.begin(), path.end());
-    return path;
-  }
-  // No trees without link tracking: run the same Dijkstra those trees come
-  // from, so both branches reconstruct identical paths.
-  const topology::SsspResult sssp =
-      topology::dijkstra_filtered(graph_, first_hop, failed_);
-  return topology::extract_path(sssp, first_hop, dst);
+  path.push_back(first_hop);
+  std::reverse(path.begin(), path.end());
+  return path;
 }
 
 void CcnNetwork::prefetch(topology::NodeId first_hop,

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "ccnopt/cache/partitioned.hpp"
@@ -14,7 +13,7 @@
 #include "ccnopt/sim/metrics.hpp"
 #include "ccnopt/strategy/strategy.hpp"
 #include "ccnopt/topology/graph.hpp"
-#include "ccnopt/topology/shortest_paths.hpp"
+#include "ccnopt/topology/route_table.hpp"
 
 namespace ccnopt::sim {
 
@@ -93,8 +92,11 @@ struct ServeResult {
 class CcnNetwork {
  public:
   /// Requires a connected graph with at least 2 nodes and at least one
-  /// router of non-zero capacity.
-  CcnNetwork(topology::Graph graph, NetworkConfig config);
+  /// router of non-zero capacity. `routes`, when given, must be the
+  /// RouteTable of `graph` with no router blocked; networks on one graph
+  /// (a replicated sweep) share it instead of each building their own.
+  CcnNetwork(topology::Graph graph, NetworkConfig config,
+             std::shared_ptr<const topology::RouteTable> routes = nullptr);
 
   const topology::Graph& graph() const { return graph_; }
   const NetworkConfig& config() const { return config_; }
@@ -195,10 +197,14 @@ class CcnNetwork {
   // after failures ("repair") redistributes the coordinated pool over the
   // surviving participants only.
 
-  /// Marks `id` failed/recovered and recomputes routing. Precondition:
-  /// the origin gateway stays alive.
+  /// Marks `id` failed/recovered and recomputes routing into a private
+  /// table (a shared one is never edited). Precondition: the origin
+  /// gateway stays alive.
   void set_router_failed(topology::NodeId id, bool failed);
   bool is_failed(topology::NodeId id) const;
+  /// The routing in force: shared with other networks on the graph until
+  /// a router of this one fails.
+  const topology::RouteTable& routes() const { return *routes_; }
   std::size_t failed_count() const;
 
   /// Coordinated contents currently owned by failed routers (unreachable
@@ -248,19 +254,14 @@ class CcnNetwork {
 
  private:
   static constexpr topology::NodeId kNoOwner = 0xFFFFFFFFu;
-  static constexpr std::uint32_t kNoLink = 0xFFFFFFFFu;
-
-  /// Precomputed end-to-end origin route: d0 + shortest path + origin extra,
-  /// one entry per (router, origin spec). kUnreachable when disconnected.
-  struct OriginRoute {
-    double latency_ms = topology::kUnreachable;
-    std::uint32_t hops = topology::kUnreachableHops;
-  };
 
   topology::Graph graph_;
   NetworkConfig config_;
   std::vector<NetworkConfig::OriginSpec> origins_;  // resolved, never empty
-  topology::AllPairs paths_;
+  // Latency, hops and tree parent of every router pair over the alive
+  // routers. Immutable and possibly shared with other networks on the same
+  // graph; failures swap in a private table.
+  std::shared_ptr<const topology::RouteTable> routes_;
   Coordinator coordinator_;
   Coordinator::Assignment assignment_;
   std::vector<std::unique_ptr<cache::PartitionedStore>> stores_;
@@ -272,21 +273,16 @@ class CcnNetwork {
   // (coordinator.hpp deals ranks round-robin from a first rank), so the
   // owner lookup is an interval test plus one indexed load — O(pool)
   // memory instead of the O(catalog) dense rank table this replaces.
-  // Rebuilt on every provision. origin_routes_ maps (router, origin spec)
-  // -> total route cost, rebuilt with routing.
+  // Rebuilt on every provision.
   cache::ContentId owner_first_rank_ = 1;
   std::vector<topology::NodeId> owner_by_offset_;  // size = coordinated pool
-  std::vector<OriginRoute> origin_routes_;     // router * |origins| + spec
 
   // Strategy binding (per-run, never per-request): the bundle holds the
   // virtual strategy objects, data_plane_ the POD descriptor serve() reads.
   strategy::StrategyBundle bundle_;
   strategy::DataPlane data_plane_;
-  // On-path forwarding state: per-origin shortest-path trees rooted at the
-  // gateway (parent[u] = next hop from u toward the gateway; rebuilt with
-  // routing), the scratch miss path of the in-flight request, and the
-  // admission-coin stream (reseeded every provision epoch).
-  std::vector<topology::SsspResult> origin_trees_;
+  // On-path forwarding state: the scratch miss path of the in-flight
+  // request and the admission-coin stream (reseeded every provision epoch).
   std::vector<topology::NodeId> miss_path_;
   Rng strategy_rng_{0};
 
@@ -304,15 +300,21 @@ class CcnNetwork {
   static std::vector<topology::NodeId> find_participants(
       const topology::Graph& graph, const NetworkConfig& config);
   std::vector<topology::NodeId> alive_participants() const;
-  void rebuild_routing();
+  /// Installs `shared` (the table of the graph with no router blocked), or
+  /// builds a table over the alive routers when null.
+  void rebuild_routing(
+      std::shared_ptr<const topology::RouteTable> shared = nullptr);
   void rebuild_owner_table();
-  void record_path(topology::NodeId src, topology::NodeId dst);
-  /// record_path with explicit counter sinks — the shared body behind both
-  /// the sequential and the sharded serve paths. Const: mutates only the
-  /// passed counters.
-  void record_path_into(topology::NodeId src, topology::NodeId dst,
-                        std::vector<std::uint64_t>& counts,
-                        std::uint64_t& total) const;
+  /// Counts one traversal of every link on src's tree path to dst into
+  /// the passed sinks (the shared members, or a shard's scratch) when link
+  /// tracking is on.
+  void record_path(topology::NodeId src, topology::NodeId dst,
+                   std::vector<std::uint64_t>& counts,
+                   std::uint64_t& total) const;
+  /// The origin tier's result for `content` at `first_hop`: d0, the path
+  /// to the content's origin gateway, and the origin's extra cost.
+  ServeResult origin_result(topology::NodeId first_hop,
+                            cache::ContentId content) const;
   /// The owner-table serve body with parameterized telemetry sinks:
   /// serve() passes the shared members, serve_sharded() a shard's scratch.
   ServeResult serve_owner_table(topology::NodeId first_hop,
@@ -337,17 +339,9 @@ class CcnNetwork {
     return topo_ != nullptr || record_depths_;
   }
 
-  // Link-load state: per-source shortest-path trees (kept in sync with
-  // failures), the dense link index of each tree edge (parent_link_[src][v]
-  // = index of link (v, parent(v)) in graph().links() order), and per-link
-  // traversal counters in that same dense order.
-  std::vector<topology::SsspResult> trees_;
-  std::vector<std::vector<std::uint32_t>> parent_link_;
+  // Link-load state: per-link traversal counters in graph().links() order.
   std::vector<std::uint64_t> link_counts_;
   std::uint64_t total_traversals_ = 0;
-  // (min,max) node pair -> dense link index, built once at construction and
-  // consulted only when rebuilding parent_link_ (never per request).
-  std::unordered_map<std::uint64_t, std::uint32_t> link_index_;
 };
 
 }  // namespace ccnopt::sim

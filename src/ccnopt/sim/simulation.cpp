@@ -48,12 +48,14 @@ const std::vector<std::string>& timeline_columns() {
   return columns;
 }
 
-Simulation::Simulation(topology::Graph graph, SimConfig config)
+Simulation::Simulation(topology::Graph graph, SimConfig config,
+                       std::shared_ptr<const topology::RouteTable> routes)
     : config_(std::move(config)) {
   // The topo recorder exports per-link loads, so its runs keep the link
   // counters live. (Tracking never changes serve outcomes, only counters.)
   if (config_.record_topo) config_.network.track_link_load = true;
-  network_ = std::make_unique<CcnNetwork>(std::move(graph), config_.network);
+  network_ = std::make_unique<CcnNetwork>(std::move(graph), config_.network,
+                                          std::move(routes));
   workload_ = std::make_unique<ZipfWorkload>(
       network_->router_count(), config_.network.catalog_size, config_.zipf_s,
       config_.seed, config_.sampler_kind);

@@ -83,8 +83,10 @@ struct SimConfig {
 
 class Simulation {
  public:
-  /// Builds the network and a default ZipfWorkload.
-  Simulation(topology::Graph graph, SimConfig config);
+  /// Builds the network and a default ZipfWorkload. `routes`, when given,
+  /// is the graph's shared RouteTable (see CcnNetwork's constructor).
+  Simulation(topology::Graph graph, SimConfig config,
+             std::shared_ptr<const topology::RouteTable> routes = nullptr);
 
   /// Replaces the workload (e.g. CyclicWorkload for the motivating
   /// example). Must be called before run(); the workload must cover

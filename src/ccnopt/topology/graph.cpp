@@ -30,8 +30,9 @@ Status Graph::add_edge(NodeId u, NodeId v, double latency_ms) {
                   "add_edge: duplicate link " + nodes_[u].name + " <-> " +
                       nodes_[v].name);
   }
-  adjacency_[u].push_back(Edge{v, latency_ms});
-  adjacency_[v].push_back(Edge{u, latency_ms});
+  const auto link = static_cast<std::uint32_t>(links_.size());
+  adjacency_[u].push_back(Edge{v, link, latency_ms});
+  adjacency_[v].push_back(Edge{u, link, latency_ms});
   links_.push_back(Link{std::min(u, v), std::max(u, v), latency_ms});
   ++edge_count_;
   return Status::ok();

@@ -29,6 +29,7 @@ struct NodeInfo {
 /// One directed half of an undirected link.
 struct Edge {
   NodeId to = 0;
+  std::uint32_t link = 0;  ///< index of the undirected link in links()
   double latency_ms = 0.0;
 };
 

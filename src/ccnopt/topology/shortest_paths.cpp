@@ -4,53 +4,16 @@
 #include <queue>
 
 #include "ccnopt/common/assert.hpp"
+#include "ccnopt/topology/route_table.hpp"
 
 namespace ccnopt::topology {
 
 SsspResult dijkstra(const Graph& g, NodeId source) {
-  CCNOPT_EXPECTS(source < g.node_count());
-  const std::size_t n = g.node_count();
-  SsspResult result;
-  result.latency_ms.assign(n, kUnreachable);
-  result.parent.assign(n, kNoParent);
-  result.latency_ms[source] = 0.0;
-
-  using Entry = std::pair<double, NodeId>;  // (distance, node)
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-  heap.emplace(0.0, source);
-  while (!heap.empty()) {
-    const auto [dist, u] = heap.top();
-    heap.pop();
-    if (dist > result.latency_ms[u]) continue;  // stale entry
-    for (const Edge& e : g.neighbors(u)) {
-      const double candidate = dist + e.latency_ms;
-      if (candidate < result.latency_ms[e.to]) {
-        result.latency_ms[e.to] = candidate;
-        result.parent[e.to] = u;
-        heap.emplace(candidate, e.to);
-      }
-    }
-  }
-  return result;
+  return dijkstra_filtered(g, source, std::vector<bool>(g.node_count()));
 }
 
 std::vector<std::uint32_t> bfs_hops(const Graph& g, NodeId source) {
-  CCNOPT_EXPECTS(source < g.node_count());
-  std::vector<std::uint32_t> hops(g.node_count(), kUnreachableHops);
-  hops[source] = 0;
-  std::queue<NodeId> frontier;
-  frontier.push(source);
-  while (!frontier.empty()) {
-    const NodeId u = frontier.front();
-    frontier.pop();
-    for (const Edge& e : g.neighbors(u)) {
-      if (hops[e.to] == kUnreachableHops) {
-        hops[e.to] = hops[u] + 1;
-        frontier.push(e.to);
-      }
-    }
-  }
-  return hops;
+  return bfs_hops_filtered(g, source, std::vector<bool>(g.node_count()));
 }
 
 std::vector<NodeId> extract_path(const SsspResult& sssp, NodeId source,
@@ -65,21 +28,6 @@ std::vector<NodeId> extract_path(const SsspResult& sssp, NodeId source,
   path.push_back(source);
   std::reverse(path.begin(), path.end());
   return path;
-}
-
-AllPairs all_pairs(const Graph& g) {
-  const std::size_t n = g.node_count();
-  AllPairs table{Matrix<double>(n, n, kUnreachable),
-                 Matrix<std::uint32_t>(n, n, kUnreachableHops)};
-  for (NodeId src = 0; src < n; ++src) {
-    const SsspResult sssp = dijkstra(g, src);
-    const std::vector<std::uint32_t> hops = bfs_hops(g, src);
-    for (NodeId dst = 0; dst < n; ++dst) {
-      table.latency_ms(src, dst) = sssp.latency_ms[dst];
-      table.hops(src, dst) = hops[dst];
-    }
-  }
-  return table;
 }
 
 SsspResult dijkstra_filtered(const Graph& g, NodeId source,
@@ -136,17 +84,15 @@ std::vector<std::uint32_t> bfs_hops_filtered(
   return hops;
 }
 
-AllPairs all_pairs_filtered(const Graph& g,
-                            const std::vector<bool>& blocked) {
+AllPairs all_pairs(const Graph& g) {
+  const RouteTable routes(g);
   const std::size_t n = g.node_count();
-  AllPairs table{Matrix<double>(n, n, kUnreachable),
-                 Matrix<std::uint32_t>(n, n, kUnreachableHops)};
+  AllPairs table{Matrix<double>(n, n), Matrix<std::uint32_t>(n, n)};
   for (NodeId src = 0; src < n; ++src) {
-    const SsspResult sssp = dijkstra_filtered(g, src, blocked);
-    const std::vector<std::uint32_t> hops = bfs_hops_filtered(g, src, blocked);
     for (NodeId dst = 0; dst < n; ++dst) {
-      table.latency_ms(src, dst) = sssp.latency_ms[dst];
-      table.hops(src, dst) = hops[dst];
+      const Route& route = routes.route(src, dst);
+      table.latency_ms(src, dst) = route.latency_ms;
+      table.hops(src, dst) = route.hops;
     }
   }
   return table;

@@ -30,7 +30,8 @@ std::vector<std::uint32_t> bfs_hops(const Graph& g, NodeId source);
 std::vector<NodeId> extract_path(const SsspResult& sssp, NodeId source,
                                  NodeId target);
 
-/// All-pairs latency and hop-count tables.
+/// All-pairs latency and hop-count tables (a RouteTable's rows without
+/// their parent links).
 struct AllPairs {
   Matrix<double> latency_ms;
   Matrix<std::uint32_t> hops;
@@ -50,8 +51,5 @@ SsspResult dijkstra_filtered(const Graph& g, NodeId source,
 /// BFS hop counts avoiding blocked nodes; same contract.
 std::vector<std::uint32_t> bfs_hops_filtered(const Graph& g, NodeId source,
                                              const std::vector<bool>& blocked);
-
-/// All-pairs tables over the surviving subgraph.
-AllPairs all_pairs_filtered(const Graph& g, const std::vector<bool>& blocked);
 
 }  // namespace ccnopt::topology

@@ -1,5 +1,10 @@
 // Failure injection: routing around failed routers, loss of their
 // coordinated contents, and repair by re-provisioning over the survivors.
+#include <cstdint>
+#include <memory>
+#include <tuple>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "ccnopt/sim/network.hpp"
@@ -119,6 +124,46 @@ TEST(Failures, FailureRaisesMeanLatencyUnderCoordination) {
   network.set_router_failed(3, true);
   const double degraded = measure(3);
   EXPECT_GT(degraded, healthy);
+}
+
+/// Every route of `table`, row by row, as (latency bits, hops, link).
+std::vector<std::tuple<double, std::uint32_t, std::uint32_t>> rows_of(
+    const topology::RouteTable& table) {
+  std::vector<std::tuple<double, std::uint32_t, std::uint32_t>> rows;
+  for (topology::NodeId src = 0; src < table.node_count(); ++src) {
+    for (const topology::Route& route : table.row(src)) {
+      rows.emplace_back(route.latency_ms, route.hops, route.parent_link);
+    }
+  }
+  return rows;
+}
+
+TEST(Failures, FailingARouterLeavesASharedTableUntouched) {
+  // Two networks route on one table. A failure in one swaps a private
+  // table into it; the other keeps serving from the shared one.
+  const topology::Graph graph = topology::make_ring(6, 1.0);
+  const auto shared = std::make_shared<const topology::RouteTable>(graph);
+  const auto original = rows_of(*shared);
+  CcnNetwork failing(graph, ring_config(), shared);
+  CcnNetwork healthy(graph, ring_config(), shared);
+  failing.provision(0);
+  healthy.provision(0);
+  EXPECT_EQ(&failing.routes(), shared.get());
+
+  failing.set_router_failed(1, true);
+  EXPECT_NE(&failing.routes(), shared.get());
+  EXPECT_EQ(failing.serve(2, 999).hops, 5u);  // the long way round
+  EXPECT_EQ(rows_of(*shared), original);
+  EXPECT_EQ(&healthy.routes(), shared.get());
+  const ServeResult result = healthy.serve(2, 999);
+  EXPECT_EQ(result.hops, 3u);
+  EXPECT_DOUBLE_EQ(result.latency_ms, 1.0 + 2.0 + 50.0);
+  EXPECT_EQ(healthy.hop_path(2, result),
+            (std::vector<topology::NodeId>{2, 1, 0}));
+
+  failing.set_router_failed(1, false);
+  EXPECT_EQ(rows_of(failing.routes()), original);
+  EXPECT_EQ(failing.serve(2, 999).hops, 3u);
 }
 
 TEST(FailuresDeath, Preconditions) {

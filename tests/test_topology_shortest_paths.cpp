@@ -162,16 +162,5 @@ TEST(BfsHopsFiltered, CountsDetourHops) {
   EXPECT_EQ(hops[1], kUnreachableHops);
 }
 
-TEST(AllPairsFiltered, DisconnectionIsDetected) {
-  // Line 0-1-2-3: blocking 1 splits {0} from {2, 3}.
-  const Graph g = make_line(4, 1.0);
-  std::vector<bool> blocked(4, false);
-  blocked[1] = true;
-  const AllPairs table = all_pairs_filtered(g, blocked);
-  EXPECT_GE(table.latency_ms(0, 2), kUnreachable);
-  EXPECT_DOUBLE_EQ(table.latency_ms(2, 3), 1.0);
-  EXPECT_DOUBLE_EQ(table.latency_ms(0, 0), 0.0);
-}
-
 }  // namespace
 }  // namespace ccnopt::topology

@@ -2,8 +2,8 @@
 # Build and run the memory-safety-critical test suites (the robin-hood
 # sparse index, the cache policies layered on it, the Zipf samplers, the
 # strategy subsystem driving the data plane, the topology-resolved
-# flight recorder fed from the serve hot path, and the sharded request
-# engine) under AddressSanitizer + UndefinedBehaviorSanitizer, then the
+# flight recorder fed from the serve hot path, the route table's search
+# kernels, and the sharded request engine) under AddressSanitizer + UndefinedBehaviorSanitizer, then the
 # concurrency-critical shard suites again under ThreadSanitizer — the
 # sharded engine mutates shared cache stores from pool threads, so TSan
 # is the proof that the router partition really is race-free.
@@ -36,6 +36,7 @@ TARGETS=(
   test_strategy_properties
   test_obs_topo
   test_sim_topo
+  test_topology_route_table
   test_golden_digests
   test_runtime_shard_scheduler
 )
@@ -45,7 +46,10 @@ TARGETS=(
 # on a pooled ShardScheduler, whose serve and record passes write cache
 # stores and per-router metric/epoch/topo partials from pool threads —
 # TSan proves the router partition really is race-free.
+# test_topology_route_table builds route tables on pool threads (each
+# worker fills its own source blocks of one shared table).
 TSAN_TARGETS=(
+  test_topology_route_table
   test_golden_digests
   test_runtime_shard_scheduler
 )

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <span>
 
 #include "ccnopt/cache/static_cache.hpp"
 #include "ccnopt/common/assert.hpp"
@@ -170,9 +171,12 @@ void CcnNetwork::record_path(topology::NodeId src, topology::NodeId dst,
                              std::vector<std::uint64_t>& counts,
                              std::uint64_t& total) const {
   if (!config_.track_link_load) return;
-  for (topology::NodeId v = dst; v != src; v = routes_->parent(src, v)) {
-    ++counts[routes_->route(src, v).parent_link];
+  const std::span<const topology::Route> row = routes_->row(src);
+  for (topology::NodeId v = dst; v != src;) {
+    const std::uint32_t link = row[v].parent_link;
+    ++counts[link];
     ++total;
+    v = routes_->across(link, v);
   }
 }
 
@@ -468,7 +472,8 @@ ServeResult CcnNetwork::serve_on_path(topology::NodeId first_hop,
       origins_[content % origins_.size()].gateway;
   // Latencies come from the gateway's row, as the walk does: a path's two
   // directions can round differently.
-  const double first_hop_ms = routes_->route(gateway, first_hop).latency_ms;
+  const std::span<const topology::Route> from_gateway = routes_->row(gateway);
+  const double first_hop_ms = from_gateway[first_hop].latency_ms;
   CCNOPT_ASSERT(first_hop_ms < topology::kUnreachable);
 
   // Walk first_hop -> gateway along the gateway-rooted shortest-path tree,
@@ -486,8 +491,7 @@ ServeResult CcnNetwork::serve_on_path(topology::NodeId first_hop,
         result = ServeResult{ServeTier::kLocal, config_.access_latency_d0_ms,
                              0, node, store.coordinated_contains(content)};
       } else {
-        const double path_ms =
-            first_hop_ms - routes_->route(gateway, node).latency_ms;
+        const double path_ms = first_hop_ms - from_gateway[node].latency_ms;
         record_path(first_hop, node, link_counts_, total_traversals_);
         result = ServeResult{
             ServeTier::kNetwork, config_.access_latency_d0_ms + path_ms,
@@ -498,7 +502,7 @@ ServeResult CcnNetwork::serve_on_path(topology::NodeId first_hop,
     }
     miss_path_.push_back(node);
     if (node == gateway) break;
-    node = routes_->parent(gateway, node);
+    node = routes_->across(from_gateway[node].parent_link, node);
   }
 
   // Every en-route store missed: the origin serves, and the whole walked

@@ -61,7 +61,10 @@ class RouteTable {
   /// `v`'s parent on `src`'s tree, i.e. the next hop from v toward src.
   /// Precondition: v != src and v reachable from src.
   NodeId parent(NodeId src, NodeId v) const {
-    const std::uint32_t link = route(src, v).parent_link;
+    return across(route(src, v).parent_link, v);
+  }
+  /// The other end of graph.links()[link] from its endpoint `v`.
+  NodeId across(std::uint32_t link, NodeId v) const {
     CCNOPT_ASSERT(link < link_ends_.size());
     return v ^ link_ends_[link];
   }

@@ -301,6 +301,31 @@ std::vector<Cell> make_cells() {
     config.network.track_link_load = false;
     add("edge_untracked_traces", "geant", config);
   }
+  {
+    // Untraced: timeline and topo on, no trace sampler.
+    SimConfig config = base_config();
+    config.trace_sample_k = 0;
+    add("edge_untraced_us_a_lru", "us-a", config);
+  }
+  {
+    // Untraced with every export off: the report, registry and link
+    // loads alone.
+    SimConfig config = base_config();
+    config.trace_sample_k = 0;
+    config.record_topo = false;
+    config.timeline_epoch = 0;
+    config.network.track_link_load = false;
+    add("edge_untraced_bare_geant", "geant", config);
+  }
+  {
+    // Untraced at a prime request count: ragged windows around the warmup
+    // boundary.
+    SimConfig config = base_config();
+    config.trace_sample_k = 0;
+    config.warmup_requests = 2003;
+    config.measured_requests = 8004;
+    add("edge_untraced_ragged", "us-a", config);
+  }
 
   // ReplicationRunner cells: merged traces, timeline and topo, and the
   // registry after all replications.

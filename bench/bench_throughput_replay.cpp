@@ -9,13 +9,11 @@
 //                                [--shards S] [--label SUFFIX]
 //
 // Besides the replication fan-out, the bench times ONE big run through the
-// sharded request engine (--shards, default 8) against the same run at
+// windowed request engine at --shards (default 8) against the same run at
 // shards=1, reporting requests_per_sec_sharded and sharded_speedup — both
 // runs are bit-identical by construction (see DESIGN.md §14), so this is a
-// pure like-for-like timing. The sharded run's record pass (DESIGN.md §15)
-// is reported as record_pass_seconds_parallel. Per-phase throughput
-// (warmup vs measured) of the single-thread run is reported from
-// Simulation::last_phase_seconds().
+// pure like-for-like timing. Per-phase throughput (warmup vs measured) of
+// the single-thread run is reported from Simulation::last_phase_seconds().
 //
 // --catalog scales the content catalog (default 20000); at web-scale
 // catalogs the auto-selected rejection sampler and sparse cache indexes
@@ -142,8 +140,9 @@ int main(int argc, char** argv) {
     topo_rps = replications_rps(pool, topo_config, replications, &topo_ms);
   }
 
-  // Sharded engine on ONE big run: the same request budget as a single
-  // replication, shards=1 (batched engine) vs shards=S on a real pool.
+  // Windowed engine on ONE big run: the same request budget as a single
+  // replication, shards=1 on the calling thread vs shards=S on a real
+  // pool.
   // Both produce bit-identical outputs, so the ratio is pure engine cost.
   double single_ms = 0.0;
   double single_rps = 0.0;
@@ -151,7 +150,6 @@ int main(int argc, char** argv) {
   double sharded_rps = 0.0;
   double warmup_phase_rps = 0.0;
   double measured_phase_rps = 0.0;
-  double record_parallel_s = 0.0;
   {
     const double total_requests =
         static_cast<double>(config.warmup_requests + config.measured_requests);
@@ -180,7 +178,6 @@ int main(int argc, char** argv) {
       sharded_ms = timer.elapsed_ms();
       sharded_rps = total_requests / (sharded_ms > 0.0 ? sharded_ms / 1000.0
                                                        : 1e-9);
-      record_parallel_s = sharded.last_record_seconds();
     }
   }
 
@@ -194,8 +191,7 @@ int main(int argc, char** argv) {
             << " Mreq/s (warmup phase " << warmup_phase_rps / 1e6
             << ", measured phase " << measured_phase_rps / 1e6 << ")\n"
             << "one run  (" << shards << " shards):  " << sharded_rps / 1e6
-            << " Mreq/s (speedup " << sharded_rps / single_rps << "x)\n"
-            << "record pass: " << record_parallel_s * 1000.0 << " ms\n";
+            << " Mreq/s (speedup " << sharded_rps / single_rps << "x)\n";
 
   reporter.add_timing_ms("serial_ms", serial_ms);
   reporter.add_timing_ms("parallel_ms", parallel_ms);
@@ -209,7 +205,6 @@ int main(int argc, char** argv) {
   reporter.set_output("requests_per_sec_measured_phase", measured_phase_rps);
   reporter.set_output("requests_per_sec_sharded", sharded_rps);
   reporter.set_output("sharded_speedup", sharded_rps / single_rps);
-  reporter.set_output("record_pass_seconds_parallel", record_parallel_s);
   reporter.set_output("shards", shards);
   reporter.set_output("threads", threads);
   reporter.set_output("catalog_size", config.network.catalog_size);

@@ -71,8 +71,8 @@ class CachePolicy {
   virtual void clear() = 0;
 
   /// Hints the membership-lookup state of `id` into cache ahead of an
-  /// admit()/contains() — issued by the simulator's batched request engine
-  /// one request ahead. Never mutates; default is a no-op.
+  /// admit()/contains() — issued by the simulator's batched and windowed
+  /// request engines one request ahead. Never mutates; default is a no-op.
   virtual void prefetch(ContentId id) const { (void)id; }
 
   const CacheStats& stats() const { return stats_; }

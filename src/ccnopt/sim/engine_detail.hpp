@@ -1,5 +1,5 @@
 // Internals shared by Simulation's request engines (the event loop and the
-// batched engine in simulation.cpp, the sharded engine in sharded.cpp):
+// batched engine in simulation.cpp, the windowed engine in sharded.cpp):
 // interned registry handles, the timeline epoch recorder, and the
 // end-of-run registry flush. Implementation detail — not installed, not
 // part of the sim API.
@@ -61,12 +61,13 @@ struct RunMetricHandles {
 // registry, which parallel replications share and mutate concurrently.
 //
 // The per-epoch tallies are PER-ROUTER partials: accumulate() may be
-// called concurrently for disjoint routers (the sharded engine's record
-// pass), and a flush sums the partials in router-index order — the
-// canonical accumulation order shared by every engine. The serial
-// engines call accumulate() per request in emission order, which
-// restricted to one router is that router's own order, so partials (and
-// therefore rows) are bit-identical whichever engine ran. Engines align
+// called concurrently for disjoint routers (the windowed engine's shards),
+// and a flush sums the partials in router-index order — the
+// canonical accumulation order shared by every engine. Every engine calls
+// accumulate() for each router's requests in that router's own order
+// (the serial engines in emission order, the windowed engine router by
+// router), so partials (and therefore rows) are bit-identical whichever
+// engine ran. Engines align
 // their processing blocks/windows to epoch boundaries and drive
 // advance() serially, so the end-of-epoch network snapshot always sees
 // exactly the epoch's requests.

@@ -43,7 +43,7 @@ class MetricsCollector {
 
   /// Records one served request against `router`'s slot. Safe to call
   /// concurrently for DISTINCT routers; calls for the same router must
-  /// be serialized (the sharded engine's router partition guarantees
+  /// be serialized (the windowed engine's router partition guarantees
   /// this).
   void record(std::size_t router, ServeTier tier, double latency_ms,
               std::uint32_t hops);

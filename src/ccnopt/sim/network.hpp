@@ -126,8 +126,8 @@ class CcnNetwork {
 
   /// Hints the serve()-path state of an upcoming request into cache: the
   /// first-hop store's membership index and the coordinated-owner interval
-  /// entry. Issued by the batched request engine one request ahead; never
-  /// mutates, never required for correctness.
+  /// entry. Issued by the batched and windowed request engines one
+  /// request ahead; never mutates, never required for correctness.
   void prefetch(topology::NodeId first_hop, cache::ContentId content) const;
 
   // --- Sharded serving ------------------------------------------------------

@@ -1,33 +1,35 @@
-// The sharded request engine. See sharded.hpp for the exactness argument;
+// The windowed request engine. See sharded.hpp for the exactness argument;
 // the pipeline per window of kWindow requests is
 //
 //   generate  (parallel over shards)  per-router arrival times, extended
 //                                     until the window is fully covered
 //   select    (sequential, cheap)     per-router cut positions of the
-//                                     window's chunk boundaries, by binary
+//                                     window's end (and, in traced runs,
+//                                     of its chunk boundaries), by binary
 //                                     search on the time value
-//   merge     (parallel over chunks)  each chunk k-way-merges its slice of
-//                                     the per-router sequences into the
-//                                     canonical global order
-//   serve     (parallel over shards)  fused content-draw + serve into
-//                                     per-shard SoA scratch, traces sampled
-//                                     in place
-//   record    (parallel over shards)  each shard tallies its own SoA
-//                                     results into per-router partial
-//                                     accumulators (metrics slots, epoch
-//                                     recorder slots, the shard's own topo
-//                                     recorder); partials fold in
-//                                     router-index order at flush/report
-//                                     time, so no global order is needed
+//   merge     (traced runs only,      each chunk k-way-merges its slice of
+//              parallel over chunks)  the per-router sequences and writes
+//                                     every entry's global request index,
+//                                     which trace sampling keys on
+//   serve     (parallel over shards)  each shard walks its routers and
+//                                     serves each router's window segment
+//                                     in one fused loop: draw, prefetch,
+//                                     serve, then record into per-router
+//                                     partial accumulators (metrics slots,
+//                                     epoch recorder slots, the shard's
+//                                     own topo recorder) and sample traces
 //
-// Windows truncate at timeline-epoch and warmup boundaries, so the epoch
-// recorder's end-of-epoch network snapshots see exactly the sequential
-// engine's state, and the phase clock stamps the warmup crossing exactly.
+// Partials fold in router-index order at flush/report time, so no global
+// order is needed to record. Windows truncate at timeline-epoch and warmup
+// boundaries, so the epoch recorder's end-of-epoch network snapshots see
+// exactly the sequential engines' state, every request of a window is in
+// the same phase, and the phase clock stamps the warmup crossing exactly.
 #include "ccnopt/sim/sharded.hpp"
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <optional>
 #include <queue>
@@ -43,14 +45,10 @@
 namespace ccnopt::sim {
 namespace {
 
-// Requests merged and served per window. Large enough to amortize the
+// Requests selected and served per window. Large enough to amortize the
 // per-window barriers and keep every worker busy, small enough that the
-// per-shard SoA scratch stays cache-resident (~20 bytes per request).
+// unconsumed arrival times stay cache-resident.
 constexpr std::uint64_t kWindow = 32768;
-
-// Compact a router's arrival-time vector once this many consumed entries
-// accumulate at its front.
-constexpr std::size_t kCompactThreshold = 65536;
 
 // One active router's arrival process: the same seeded clock sub-stream
 // the batched engine uses, unrolled into an ascending absolute-time vector.
@@ -59,27 +57,20 @@ constexpr std::size_t kCompactThreshold = 65536;
 struct RouterGen {
   explicit RouterGen(std::uint64_t seed) : clock(seed) {}
   Rng clock;
-  std::vector<double> times;
-  std::size_t head = 0;     // first entry not yet emitted
-  std::size_t avail = 0;    // entries past head with time < horizon
+  std::vector<double> times;  // not yet emitted, ascending
+  std::size_t avail = 0;      // leading entries with time < horizon
   double last_time = 0.0;
 };
 
 // Everything one shard owns: its contiguous range of active routers, the
 // network scratch its serves write telemetry into, its whole-run tier and
-// placement recorder, its trace buffer, and the per-window SoA serve
-// results its own record pass reads back.
+// placement recorder, and its trace buffer.
 struct ShardState {
   std::uint32_t lo = 0;  // active-position range [lo, hi)
   std::uint32_t hi = 0;
   CcnNetwork::ShardScratch scratch;
   obs::TopoRecorder topo;     // enabled iff the run records topo
-  obs::TraceBuffer traces;    // whole run, ascending request index
-  std::vector<std::uint32_t> idx;  // window-relative indices owned
-  std::vector<std::uint8_t> tier;
-  std::vector<double> latency;
-  std::vector<std::uint32_t> hops;
-  std::vector<std::uint32_t> served_by;
+  obs::TraceBuffer traces;    // whole run, router-major per window
   std::uint64_t upstream = 0;  // whole-run non-local serves (integer fold)
 };
 
@@ -88,7 +79,6 @@ struct ShardState {
 const char* sharded_run_disqualifier(const SimConfig& config,
                                      const Workload& workload,
                                      const CcnNetwork& network) {
-  if (config.shards <= 1) return "shards <= 1";
   if (config.interest_aggregation) {
     return "interest aggregation needs the event loop's completion events";
   }
@@ -139,7 +129,6 @@ SimReport Simulation::run_sharded_impl(ShardExecutor& executor) {
   MetricsCollector metrics;
   metrics.resize_routers(network_->router_count());
   metrics.record_coordination_messages(messages);
-  record_seconds_ = 0.0;
 
   const obs::ScopedSpan replay_span("sim.replay");
   const double rate = config_.arrival_rate_per_router;
@@ -185,23 +174,27 @@ SimReport Simulation::run_sharded_impl(ShardExecutor& executor) {
   if (timeline_.enabled()) {
     recorder.emplace(&timeline_, network_.get(), network_->router_count());
   }
+  detail::EpochRecorder* const epoch = recorder ? &*recorder : nullptr;
 
   using Clock = std::chrono::steady_clock;
   const Clock::time_point replay_start = Clock::now();
   Clock::time_point warmup_end = replay_start;
 
-  // Merged order of the current window: win_active[i] = active position of
-  // the i-th request. Chunks write disjoint ranges.
-  std::vector<std::uint32_t> win_active;
-  // Chunk cut positions: cut[p][a] = absolute position in gens[a].times
-  // where chunk p starts (cut[chunks] = window end). Chunk boundaries are
-  // global-order positions k_p = W * p / chunks.
-  const std::size_t chunks = shard_count;
+  // Cut positions: cut[p][a] = entries of gens[a].times in the window's
+  // first p chunks, chunk boundaries being the global-order positions
+  // W * p / chunks; cut[0] is all zeros and cut[chunks] ends the window.
+  // Only traced runs merge, one chunk per shard; the rest need the end.
+  const bool traced = sampler.enabled();
+  const std::size_t chunks = traced ? shard_count : 1;
   std::vector<std::vector<std::size_t>> cut(
-      chunks + 1, std::vector<std::size_t>(active_count));
+      chunks + 1, std::vector<std::size_t>(active_count, 0));
+  const std::vector<std::size_t>& end = cut[chunks];
+  // Traced runs only: global request index of each window entry, router
+  // a's segment starting at offset[a].
+  std::vector<std::size_t> offset(active_count, 0);
+  std::vector<std::uint64_t> win_index;
 
   std::uint64_t emitted = 0;
-  std::uint64_t upstream = 0;
   while (emitted < total_requests) {
     std::uint64_t window = std::min(kWindow, total_requests - emitted);
     if (recorder) {
@@ -216,6 +209,7 @@ SimReport Simulation::run_sharded_impl(ShardExecutor& executor) {
     } else if (emitted == config_.warmup_requests) {
       warmup_end = Clock::now();
     }
+    const bool measured = emitted >= config_.warmup_requests;
 
     // --- Generate: extend per-router arrival times until the window's
     // requests are all certain. An entry is certain once it lies strictly
@@ -229,9 +223,9 @@ SimReport Simulation::run_sharded_impl(ShardExecutor& executor) {
       }
       available = 0;
       for (RouterGen& gen : gens) {
-        const auto begin = gen.times.begin() + gen.head;
         gen.avail = static_cast<std::size_t>(
-            std::lower_bound(begin, gen.times.end(), horizon) - begin);
+            std::lower_bound(gen.times.begin(), gen.times.end(), horizon) -
+            gen.times.begin());
         available += gen.avail;
       }
       if (available >= window) break;
@@ -256,15 +250,12 @@ SimReport Simulation::run_sharded_impl(ShardExecutor& executor) {
     const auto count_le = [&](double value) {
       std::uint64_t count = 0;
       for (const RouterGen& gen : gens) {
-        const auto begin = gen.times.begin() + gen.head;
+        const auto begin = gen.times.begin();
         count += static_cast<std::uint64_t>(
             std::upper_bound(begin, begin + gen.avail, value) - begin);
       }
       return count;
     };
-    for (std::size_t a = 0; a < active_count; ++a) {
-      cut[0][a] = gens[a].head;
-    }
     for (std::size_t p = 1; p <= chunks; ++p) {
       const std::uint64_t k = window * p / chunks;
       if (k == 0) {  // degenerate tiny windows
@@ -289,22 +280,16 @@ SimReport Simulation::run_sharded_impl(ShardExecutor& executor) {
       }
       std::uint64_t taken = 0;
       for (std::size_t a = 0; a < active_count; ++a) {
-        const RouterGen& gen = gens[a];
-        const auto begin = gen.times.begin() + gen.head;
-        cut[p][a] =
-            gen.head + static_cast<std::size_t>(std::upper_bound(
-                           begin, begin + gen.avail, lo) -
-                       begin);
-        taken += cut[p][a] - gen.head;
+        const auto begin = gens[a].times.begin();
+        cut[p][a] = static_cast<std::size_t>(
+            std::upper_bound(begin, begin + gens[a].avail, lo) - begin);
+        taken += cut[p][a];
       }
       std::uint64_t extra = k - taken;
       for (std::size_t a = 0; a < active_count && extra > 0; ++a) {
-        const RouterGen& gen = gens[a];
-        const auto begin = gen.times.begin() + gen.head;
-        const std::size_t up_hi =
-            gen.head + static_cast<std::size_t>(std::upper_bound(
-                           begin, begin + gen.avail, hi) -
-                       begin);
+        const auto begin = gens[a].times.begin();
+        const std::size_t up_hi = static_cast<std::size_t>(
+            std::upper_bound(begin, begin + gens[a].avail, hi) - begin);
         const std::uint64_t more =
             std::min<std::uint64_t>(extra, up_hi - cut[p][a]);
         cut[p][a] += more;
@@ -313,158 +298,142 @@ SimReport Simulation::run_sharded_impl(ShardExecutor& executor) {
       CCNOPT_ASSERT(extra == 0);
     }
 
-    // --- Merge: each chunk k-way-merges its slice of the per-router
-    // sequences into its disjoint range of win_active.
-    win_active.resize(window);
-    executor.run_shards(chunks, [&](std::size_t p) {
-      struct HeapEntry {
-        double time;
-        std::uint32_t a;
-      };
-      const auto later = [](const HeapEntry& x, const HeapEntry& y) {
-        if (x.time != y.time) return x.time > y.time;
-        return x.a > y.a;
-      };
-      std::priority_queue<HeapEntry, std::vector<HeapEntry>, decltype(later)>
-          heap(later);
-      std::vector<std::size_t> pos(active_count);
+    // --- Merge (traced runs, measured windows): each chunk k-way-merges
+    // its slice of the per-router sequences and writes each entry's global
+    // request index into that router's segment of win_index.
+    const bool sampling = traced && measured;
+    if (sampling) {
+      const std::uint64_t base = emitted;
+      std::size_t running = 0;
       for (std::size_t a = 0; a < active_count; ++a) {
-        pos[a] = cut[p][a];
-        if (pos[a] < cut[p + 1][a]) {
-          heap.push(HeapEntry{gens[a].times[pos[a]],
-                              static_cast<std::uint32_t>(a)});
-        }
+        offset[a] = running;
+        running += end[a];
       }
-      std::uint64_t out = window * p / chunks;
-      while (!heap.empty()) {
-        const HeapEntry top = heap.top();
-        heap.pop();
-        win_active[out++] = top.a;
-        if (++pos[top.a] < cut[p + 1][top.a]) {
-          heap.push(HeapEntry{gens[top.a].times[pos[top.a]], top.a});
+      win_index.resize(window);
+      executor.run_shards(chunks, [&](std::size_t p) {
+        struct HeapEntry {
+          double time;
+          std::uint32_t a;
+        };
+        const auto later = [](const HeapEntry& x, const HeapEntry& y) {
+          if (x.time != y.time) return x.time > y.time;
+          return x.a > y.a;
+        };
+        std::priority_queue<HeapEntry, std::vector<HeapEntry>,
+                            decltype(later)>
+            heap(later);
+        std::vector<std::size_t> pos(cut[p]);
+        for (std::size_t a = 0; a < active_count; ++a) {
+          if (pos[a] < cut[p + 1][a]) {
+            heap.push(HeapEntry{gens[a].times[pos[a]],
+                                static_cast<std::uint32_t>(a)});
+          }
         }
-      }
-      CCNOPT_ASSERT(out == window * (p + 1) / chunks);
-    });
+        std::uint64_t out = window * p / chunks;
+        while (!heap.empty()) {
+          const HeapEntry top = heap.top();
+          heap.pop();
+          win_index[offset[top.a] + pos[top.a]] = base + out++;
+          if (++pos[top.a] < cut[p + 1][top.a]) {
+            heap.push(HeapEntry{gens[top.a].times[pos[top.a]], top.a});
+          }
+        }
+        CCNOPT_ASSERT(out == window * (p + 1) / chunks);
+      });
+    }
 
-    // --- Serve: each shard picks its requests out of the merged order and
-    // runs the fused draw + prefetch + serve pipeline into its SoA
-    // scratch. Per-router draw order equals the sequential engines' (the
-    // global order restricted to one router is that router's order), and
-    // the workload streams are per-router, so content values match bit
-    // for bit.
-    const std::uint64_t base = emitted;
+    // --- Serve: each shard walks its routers in active order and serves
+    // each router's window segment, drawing the next request's content and
+    // prefetching its cache state one request ahead, then records the
+    // result straight into the per-router partials. Per-router draw and
+    // serve order equals the sequential engines' (the global order
+    // restricted to one router is that router's order) and the workload
+    // streams are per-router, so content values and cache transitions
+    // match bit for bit; every double accumulation is per-router, so
+    // router-major recording reproduces the canonical partials too. Tier
+    // events go to the shard's OWN topo recorder (served_for_peers may
+    // cross shards; integer counters fold exactly at absorb time).
     executor.run_shards(shard_count, [&](std::size_t s) {
       ShardState& shard = shards[s];
-      shard.idx.clear();
-      for (std::uint64_t i = 0; i < window; ++i) {
-        const std::uint32_t a = win_active[i];
-        if (a >= shard.lo && a < shard.hi) {
-          shard.idx.push_back(static_cast<std::uint32_t>(i));
+      obs::TopoRecorder* const shard_topo =
+          measured && topo != nullptr ? &shard.topo : nullptr;
+      std::uint64_t upstream = 0;
+      std::uint32_t a = shard.lo;
+      std::size_t j = 0;
+      while (a < shard.hi && end[a] == 0) ++a;
+      if (a == shard.hi) return;
+      topology::NodeId router = actives[a];
+      cache::ContentId content = workload_->next(router);
+      for (;;) {
+        // The shard's next request: this router's next arrival, else the
+        // first arrival of the next router with any in this window.
+        std::uint32_t next_a = a;
+        std::size_t next_j = j + 1;
+        while (next_a < shard.hi && next_j == end[next_a]) {
+          ++next_a;
+          next_j = 0;
         }
-      }
-      shard.tier.clear();
-      shard.latency.clear();
-      shard.hops.clear();
-      shard.served_by.clear();
-      if (shard.idx.empty()) return;
-      cache::ContentId next_content =
-          workload_->next(actives[win_active[shard.idx[0]]]);
-      for (std::size_t j = 0; j < shard.idx.size(); ++j) {
-        const std::uint32_t i = shard.idx[j];
-        const topology::NodeId router = actives[win_active[i]];
-        const cache::ContentId content = next_content;
-        if (j + 1 < shard.idx.size()) {
-          const topology::NodeId next_router =
-              actives[win_active[shard.idx[j + 1]]];
+        const bool more = next_a < shard.hi;
+        topology::NodeId next_router = 0;
+        cache::ContentId next_content = 0;
+        if (more) {
+          next_router = actives[next_a];
           next_content = workload_->next(next_router);
           network_->prefetch(next_router, next_content);
         }
         const ServeResult result =
             network_->serve_sharded(router, content, shard.scratch);
-        shard.tier.push_back(static_cast<std::uint8_t>(result.tier));
-        shard.latency.push_back(result.latency_ms);
-        shard.hops.push_back(result.hops);
-        shard.served_by.push_back(
-            static_cast<std::uint32_t>(result.served_by));
-        const std::uint64_t gindex = base + i;
-        if (gindex >= config_.warmup_requests && sampler.enabled() &&
-            sampler.should_sample(gindex)) {
-          obs::TraceEvent event{
-              0, gindex, static_cast<std::uint32_t>(router), content,
-              to_string(result.tier), result.hops,
-              static_cast<std::uint32_t>(result.served_by), {}, -1,
-              result.latency_ms};
-          event.path = network_->hop_path(router, result);
-          event.placement_depth = result.placement_depth;
-          shard.traces.push_back(std::move(event));
+        if (epoch != nullptr) epoch->accumulate(router, result);
+        if (result.tier != ServeTier::kLocal) ++upstream;
+        if (measured) {
+          metrics.record(router, result.tier, result.latency_ms, result.hops);
+          if (shard_topo != nullptr) {
+            shard_topo->on_request(static_cast<std::uint32_t>(router),
+                                   static_cast<std::uint32_t>(result.tier),
+                                   result.served_by, result.latency_ms,
+                                   result.hops);
+          }
+          if (sampling) {
+            const std::uint64_t index = win_index[offset[a] + j];
+            if (sampler.should_sample(index)) {
+              obs::TraceEvent event{
+                  0, index, static_cast<std::uint32_t>(router), content,
+                  to_string(result.tier), result.hops,
+                  static_cast<std::uint32_t>(result.served_by), {}, -1,
+                  result.latency_ms};
+              event.path = network_->hop_path(router, result);
+              event.placement_depth = result.placement_depth;
+              shard.traces.push_back(std::move(event));
+            }
+          }
         }
+        if (!more) break;
+        a = next_a;
+        j = next_j;
+        router = next_router;
+        content = next_content;
       }
+      shard.upstream += upstream;
     });
 
-    // --- Record: fold the shard link counters first (the epoch recorder's
-    // boundary snapshot reads them), then tally every shard's slice of the
-    // window into the per-router partial accumulators. No global replay is
-    // needed anymore: all double accumulation (metrics Welford slots,
-    // epoch-recorder sums, topo latency sums) is per-router, each router
-    // is owned by exactly one shard, and each shard walks its SoA results
-    // in window order — which restricted to any of its routers is that
-    // router's emission order, the canonical accumulation order the serial
-    // engines also use. Tier events go to the shard's OWN topo recorder
-    // (served_for_peers may cross shards, and integer counters fold
-    // exactly at absorb time). Only the epoch-boundary flush in advance()
-    // stays serial.
+    // Fold the shard link counters before the epoch recorder's boundary
+    // snapshot reads them; only that flush stays serial.
     for (ShardState& shard : shards) {
       network_->fold_shard_scratch(shard.scratch);
     }
-    const Clock::time_point record_start = Clock::now();
-    detail::EpochRecorder* const epoch = recorder ? &*recorder : nullptr;
-    const auto record_shard = [&](std::size_t s) {
-      ShardState& shard = shards[s];
-      std::uint64_t shard_upstream = 0;
-      obs::TopoRecorder* const shard_topo =
-          topo != nullptr ? &shard.topo : nullptr;
-      for (std::size_t j = 0; j < shard.idx.size(); ++j) {
-        const std::uint32_t i = shard.idx[j];
-        const topology::NodeId router = actives[win_active[i]];
-        ServeResult result;
-        result.tier = static_cast<ServeTier>(shard.tier[j]);
-        result.latency_ms = shard.latency[j];
-        result.hops = shard.hops[j];
-        result.served_by = shard.served_by[j];
-        if (epoch != nullptr) epoch->accumulate(router, result);
-        if (result.tier != ServeTier::kLocal) ++shard_upstream;
-        if (base + i < config_.warmup_requests) continue;
-        metrics.record(router, result.tier, result.latency_ms, result.hops);
-        if (shard_topo != nullptr) {
-          shard_topo->on_request(static_cast<std::uint32_t>(router),
-                                 static_cast<std::uint32_t>(result.tier),
-                                 result.served_by, result.latency_ms,
-                                 result.hops);
-        }
-      }
-      shard.upstream += shard_upstream;
-    };
-    executor.run_shards(shard_count, record_shard);
-    record_seconds_ +=
-        std::chrono::duration<double>(Clock::now() - record_start).count();
     if (recorder) recorder->advance(window);
     emitted += window;
 
-    // --- Advance and compact the consumed arrival-time prefixes.
+    // --- Drop the window's arrival times.
     for (std::size_t a = 0; a < active_count; ++a) {
-      RouterGen& gen = gens[a];
-      gen.head = cut[chunks][a];
-      if (gen.head >= kCompactThreshold) {
-        gen.times.erase(gen.times.begin(),
-                        gen.times.begin() +
-                            static_cast<std::ptrdiff_t>(gen.head));
-        gen.head = 0;
-      }
+      std::vector<double>& times = gens[a].times;
+      times.erase(times.begin(),
+                  times.begin() + static_cast<std::ptrdiff_t>(end[a]));
     }
   }
   CCNOPT_ENSURES(emitted == total_requests);
   if (recorder) recorder->finish();
+  std::uint64_t upstream = 0;
   for (const ShardState& shard : shards) upstream += shard.upstream;
 
   // Fold the per-shard tier/placement recorders (integer counters sum
@@ -498,28 +467,16 @@ SimReport Simulation::run_sharded_impl(ShardExecutor& executor) {
     topo->add_link_traversals(network_->link_counts());
   }
 
-  // Per-shard trace buffers each ascend in request index; a cursor merge
-  // restores the global emission order (indices are unique).
-  std::size_t trace_total = 0;
-  for (const ShardState& shard : shards) trace_total += shard.traces.size();
-  trace_.reserve(trace_total);
-  std::vector<std::size_t> trace_pos(shard_count, 0);
-  while (trace_.size() < trace_total) {
-    std::size_t best = shard_count;
-    std::uint64_t best_index = 0;
-    for (std::size_t s = 0; s < shard_count; ++s) {
-      if (trace_pos[s] >= shards[s].traces.size()) continue;
-      const std::uint64_t index =
-          shards[s].traces[trace_pos[s]].request_index;
-      if (best == shard_count || index < best_index) {
-        best = s;
-        best_index = index;
-      }
-    }
-    CCNOPT_ASSERT(best < shard_count);
-    trace_.push_back(std::move(shards[best].traces[trace_pos[best]]));
-    ++trace_pos[best];
+  // Shards sample router-major within each window; sorting on the unique
+  // request index restores the global emission order.
+  for (ShardState& shard : shards) {
+    std::move(shard.traces.begin(), shard.traces.end(),
+              std::back_inserter(trace_));
   }
+  std::sort(trace_.begin(), trace_.end(),
+            [](const obs::TraceEvent& x, const obs::TraceEvent& y) {
+              return x.request_index < y.request_index;
+            });
 
   if (config_.warmup_requests == 0) warmup_end = replay_start;
   phase_seconds_.warmup =

@@ -1,5 +1,7 @@
-// Sharded request engine: one simulation run partitioned by first-hop
-// router across worker shards, bit-identical to the single-thread engines.
+// Windowed request engine: one simulation run partitioned by first-hop
+// router across worker shards, bit-identical to the single-thread engines
+// at any shard count, one included. Every run sharded_run_disqualifier()
+// admits takes it.
 //
 // Why router partitioning is exact (not approximate): under owner-table
 // forwarding without peer-local fetch, serving a request at router r
@@ -13,31 +15,35 @@
 // shard also generates its routers' arrival times and content draws
 // without seeing the global interleaving.
 //
-// The canonical global order is recovered, not simulated: each router's
-// arrival times ascend, so the batched engine's pop order is the k-way merge
-// of the per-router sequences. The engine merges them window by window
-// (windows truncate at timeline-epoch and warmup boundaries, which never
-// changes merge order), serves each window's requests shard-parallel into
-// per-shard structure-of-arrays scratch, then records each window
-// shard-parallel as well: every floating-point accumulation (Welford
-// stats, timeline epoch sums, topo latency sums) lives in PER-ROUTER
-// partials, each written by exactly one shard in that router's own
-// emission order, and folded in router-index order through a fixed-shape
-// merge tree (numerics::merge_tree) whose grouping depends only on the
-// router count. The serial engines accumulate into the identical
-// per-router partials and fold them identically, so reports, timelines,
-// topo exports, traces and metric exports are bit-identical at any shard
-// count — including shard count one. Integer counters (tier counts,
-// histograms' fixed-point sums, link traversals) are exact under any
-// order. Only the per-window epoch-boundary flush, the trace-buffer
-// cursor merge, and final export remain serial.
+// The global order is needed only to cut windows and to sample traces.
+// Each router's arrival times ascend, so the batched engine's pop order
+// is the k-way merge of the per-router sequences, and a window of the
+// next W requests is each router's next cut[a] arrivals, found by
+// bisection on time (windows truncate at timeline-epoch and warmup
+// boundaries, which never changes the order). Each shard then serves its
+// routers' window segments router-major, recording every result in the
+// same loop: every floating-point accumulation (Welford stats, timeline
+// epoch sums, topo latency sums) lives in PER-ROUTER partials, each
+// written by exactly one shard in that router's own arrival order, and
+// folded in router-index order through a fixed-shape merge tree
+// (numerics::merge_tree) whose grouping depends only on the router count.
+// The batched engine accumulates into the identical per-router partials
+// and folds them identically, so reports, timelines, topo exports, traces
+// and metric exports are bit-identical at any shard count. Integer
+// counters (tier counts, histograms' fixed-point sums, link traversals)
+// are exact under any order. Trace sampling keys on the global request
+// index, so traced runs also k-way-merge each window, in parallel chunks,
+// to learn every request's index; untraced runs never merge. Only the
+// per-window epoch-boundary flush, the trace sort, and final export
+// remain serial.
 //
 // Tie-breaking caveat: the batched engine breaks equal-time arrivals by
-// global scheduling sequence, the merge by router index. The two differ
-// only when two DIFFERENT routers' clocks collide on the exact same
-// double — measure-zero for sums of continuous draws, and pinned by the
-// golden digests (tests/test_golden_digests.cpp), whose every simulation
-// cell must give one digest at shards = 1 and at shards > 1.
+// global scheduling sequence, the window cuts and merge by router index.
+// The two differ only when two DIFFERENT routers' clocks collide on the
+// exact same double — measure-zero for sums of continuous draws, and
+// pinned by the golden digests (tests/test_golden_digests.cpp), whose
+// every simulation cell must give one digest at shards = 1 and at
+// shards > 1.
 #pragma once
 
 #include <cstddef>
@@ -47,8 +53,9 @@
 
 namespace ccnopt::sim {
 
-/// Runs the bodies of one parallel region. The sharded engine issues a
-/// sequence of regions (generate, merge, serve); each run_shards() call is
+/// Runs the bodies of one parallel region. The windowed engine issues a
+/// sequence of regions per window (generate, the merge in traced runs,
+/// serve) and one end-of-run cache snapshot; each run_shards() call is
 /// a barrier: it returns only after every body completed, and every write
 /// a body made happens-before the caller's next statement. Implementations
 /// may run bodies concurrently (runtime::ShardScheduler) or inline.
@@ -71,16 +78,16 @@ class SerialShardExecutor final : public ShardExecutor {
   }
 };
 
-/// Why the run does not qualify for the sharded engine, or nullptr when
-/// it does. A run qualifies with more than one shard requested, no
-/// interest aggregation (completion events need the event loop),
-/// per-router workload streams (the shards draw without seeing the global
-/// interleaving), and owner-table forwarding without peer-local fetch (the
-/// router-exclusive mutation argument above). Non-qualifying runs fall
+/// Why the run does not qualify for the windowed engine, or nullptr when
+/// it does. A run qualifies with no interest aggregation (completion
+/// events need the event loop), per-router workload streams (the shards
+/// draw without seeing the global interleaving), and owner-table
+/// forwarding without peer-local fetch (the router-exclusive mutation
+/// argument above), whatever its shard count. Non-qualifying runs fall
 /// back to the single-thread engines — same outputs, by the bit-identity
-/// contract — and Simulation::run() logs the returned reason when shards
-/// were requested, so a silent fallback can never masquerade as a sharded
-/// measurement.
+/// contract — and Simulation::run() logs the returned reason when more
+/// than one shard was requested, so a silent fallback can never
+/// masquerade as a sharded measurement.
 const char* sharded_run_disqualifier(const SimConfig& config,
                                      const Workload& workload,
                                      const CcnNetwork& network);

@@ -20,9 +20,12 @@ using detail::kTraceSeedIndex;
 
 namespace {
 
-// Requests per block of the batched engine: drawn from the arrival
-// processes, served in a tight loop with the next request's cache state
-// prefetched one iteration ahead, then recorded in emission order.
+// Requests per block of the batched engine, which serves the runs the
+// windowed engine rejects except interest aggregation (on-path
+// strategies, globally coupled workloads, peer-local fetch): drawn from
+// the arrival processes, served in a tight loop with the next request's
+// cache state prefetched one iteration ahead, then recorded in emission
+// order.
 constexpr std::uint64_t kBlock = 256;
 
 }  // namespace
@@ -51,6 +54,7 @@ const std::vector<std::string>& timeline_columns() {
 Simulation::Simulation(topology::Graph graph, SimConfig config,
                        std::shared_ptr<const topology::RouteTable> routes)
     : config_(std::move(config)) {
+  CCNOPT_EXPECTS(config_.shards >= 1);
   // The topo recorder exports per-link loads, so its runs keep the link
   // counters live. (Tracking never changes serve outcomes, only counters.)
   if (config_.record_topo) config_.network.track_link_load = true;
@@ -69,13 +73,14 @@ void Simulation::set_workload(std::unique_ptr<Workload> workload) {
 
 SimReport Simulation::run() {
   CCNOPT_EXPECTS(config_.arrival_rate_per_router > 0.0);
-  // Sharded engine dispatch: qualifying runs partition the stream by
+  // Windowed engine dispatch: qualifying runs partition the stream by
   // first-hop router and serve shards concurrently (bit-identical outputs
   // at any shard count); without an attached executor the shards run
   // serially, which keeps the engine testable single-threaded.
   const char* const disqualifier =
       sharded_run_disqualifier(config_, *workload_, *network_);
   if (disqualifier == nullptr) {
+    last_engine_ = "windowed";
     if (shard_executor_ != nullptr) {
       return run_sharded_impl(*shard_executor_);
     }
@@ -85,12 +90,12 @@ SimReport Simulation::run() {
   if (config_.shards > 1) {
     // The fallback is bit-identical by contract, but far slower — never
     // let a bench measure one thread thinking it measured shards.
-    CCNOPT_LOG(kWarn) << "sharded engine: shards=" << config_.shards
+    CCNOPT_LOG(kWarn) << "windowed engine: shards=" << config_.shards
                       << " requested but the run does not qualify ("
                       << disqualifier
                       << "); falling back to the single-thread engine";
   }
-  record_seconds_ = 0.0;
+  last_engine_ = config_.interest_aggregation ? "event_loop" : "batched";
   const obs::ScopedSpan run_span("sim.run");
   trace_.clear();
   timeline_ = config_.timeline_epoch > 0
@@ -301,7 +306,7 @@ SimReport Simulation::run() {
       // accumulation goes into per-router partials, and emission order
       // restricted to one router is that router's own order — so the
       // partials (and everything folded from them) are bit-identical to
-      // the sharded engine's.
+      // the windowed engine's.
       for (std::size_t i = 0; i < block.size(); ++i) {
         if (recorder) recorder->accumulate(block[i].router, results[i]);
         if (block[i].index < config_.warmup_requests) continue;

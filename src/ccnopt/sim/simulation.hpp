@@ -5,6 +5,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ccnopt/obs/timeline.hpp"
@@ -41,17 +42,18 @@ struct SimConfig {
   /// alias table at small catalogs and switches to the constant-memory
   /// rejection-inversion sampler at web-scale catalogs.
   popularity::SamplerKind sampler_kind = popularity::SamplerKind::kAuto;
-  /// Sharded request engine: when > 1 (and the run qualifies — see
-  /// sharded_run_disqualifier in sharded.hpp), the request stream is
-  /// partitioned by first-hop router across this many shards, served
-  /// against the one shared network, and folded back in canonical order.
-  /// Every output (report, metrics, timeline, topo, traces) is
-  /// byte-identical to the single-thread engines at any shard count; an
+  /// Shards of the windowed request engine (at least 1). Every run that
+  /// qualifies (see sharded_run_disqualifier in sharded.hpp) is served by
+  /// that engine, shards = 1 included: the request stream is partitioned
+  /// by first-hop router across this many shards, each serving its
+  /// routers' window segments router-major against the one shared
+  /// network. Every output (report, metrics, timeline, topo, traces) is
+  /// byte-identical at any shard count and to the batched engine; an
   /// attached ShardExecutor (set_shard_executor) supplies the worker
   /// threads, otherwise the shards run serially on the calling thread.
-  /// Runs that do not qualify fall back to the single-thread engines
-  /// (with a one-line CCNOPT_LOG(kWarn) naming the disqualifier, so
-  /// bench runs cannot silently measure a single thread).
+  /// Runs that do not qualify take the batched engine or the event loop
+  /// (with a one-line CCNOPT_LOG(kWarn) naming the disqualifier when
+  /// shards > 1, so bench runs cannot silently measure a single thread).
   std::size_t shards = 1;
   std::uint64_t seed = 42;
   /// Time-resolved telemetry: when > 0, the run accumulates an
@@ -113,10 +115,17 @@ class Simulation {
   };
   PhaseSeconds last_phase_seconds() const { return phase_seconds_; }
 
-  /// Wall-clock seconds the last run() spent in the record pass (summed
-  /// over windows). 0 for the single-thread engines, whose record work
-  /// is not separately clocked.
-  double last_record_seconds() const { return record_seconds_; }
+  /// Always 0: every engine records each request inside its serve loop,
+  /// so there is no separate record pass to clock. Kept because
+  /// benchmarks read it and estimate record time per request instead
+  /// when it is 0.
+  double last_record_seconds() const { return 0.0; }
+
+  /// The engine that served the last run(): "windowed" (router-major
+  /// windows, sharded.cpp), "batched" (the merge-heap block engine, for
+  /// runs sharded_run_disqualifier rejects) or "event_loop" (interest
+  /// aggregation). Empty before the first run().
+  std::string_view last_engine() const { return last_engine_; }
 
   const CcnNetwork& network() const { return *network_; }
   CcnNetwork& network() { return *network_; }
@@ -135,8 +144,8 @@ class Simulation {
   const obs::TopoRecorder& topo() const { return topo_; }
 
  private:
-  /// The sharded request engine (sharded.cpp); reached from run() when
-  /// config().shards > 1 and the run qualifies.
+  /// The windowed request engine (sharded.cpp); reached from run() when
+  /// the run qualifies.
   SimReport run_sharded_impl(ShardExecutor& executor);
 
   SimConfig config_;
@@ -144,7 +153,7 @@ class Simulation {
   std::unique_ptr<Workload> workload_;
   ShardExecutor* shard_executor_ = nullptr;
   PhaseSeconds phase_seconds_;
-  double record_seconds_ = 0.0;
+  std::string_view last_engine_;
   obs::TraceBuffer trace_;
   obs::Timeline timeline_;
   obs::TopoRecorder topo_;

@@ -9,8 +9,9 @@
 // Each simulation cell is checked three ways against the same digest:
 // shards = 1, shards = S on a SerialShardExecutor, and shards = S on a
 // pooled runtime::ShardScheduler (S = 4 unless the cell says otherwise).
-// Cells that do not qualify for the sharded engine take the documented
-// fallback at S, which must reproduce the same bytes. Replication cells
+// Cells that qualify take the windowed engine at every S, one included;
+// the rest take the documented fallback, which must reproduce the same
+// bytes. Replication cells
 // run through runtime::ReplicationRunner on 1 and on 8 threads.
 //
 // On a mismatch the failure prints the cell name and its new line in the
@@ -517,15 +518,39 @@ TEST(SimIndexDeterminism, SparseIndexActiveWhereExpected) {
   }
 }
 
-TEST(ShardDeterminismEdges, ShardsOneNeverEntersShardedEngine) {
-  // shards = 1 takes the batched engine path; the sharded engine at 2
-  // serial shards must agree with it anyway.
+TEST(ShardDeterminismEdges, EngineDispatchFollowsTheDisqualifier) {
+  // A qualifying run takes the windowed engine at shards = 1 too; on-path
+  // LCD falls back to the batched engine, and interest aggregation to the
+  // event loop.
   SimConfig config = base_config();
   config.shards = 1;
-  const std::uint64_t batched =
-      run_digest(topology::cernet(), config, {}, nullptr);
-  config.shards = 2;
-  EXPECT_EQ(batched, run_digest(topology::cernet(), config, {}, nullptr));
+  {
+    Simulation sim(topology::cernet(), config);
+    EXPECT_EQ(sim.last_engine(), "");
+    sim.run();
+    EXPECT_EQ(sim.last_engine(), "windowed");
+  }
+  {
+    SimConfig lcd = config;
+    lcd.network.strategy = "lcd";
+    Simulation sim(topology::cernet(), lcd);
+    sim.run();
+    EXPECT_EQ(sim.last_engine(), "batched");
+  }
+  {
+    SimConfig aggregated = config;
+    aggregated.interest_aggregation = true;
+    Simulation sim(topology::cernet(), aggregated);
+    sim.run();
+    EXPECT_EQ(sim.last_engine(), "event_loop");
+  }
+}
+
+TEST(ShardDeterminismDeathTest, ZeroShardsIsRejected) {
+  // 0 shards would serve nothing; the constructor rejects it.
+  SimConfig config = base_config();
+  config.shards = 0;
+  EXPECT_DEATH(Simulation(topology::cernet(), config), "precondition");
 }
 
 TEST(ShardDeterminismFallback, SupportPredicateMatchesContract) {
@@ -537,7 +562,7 @@ TEST(ShardDeterminismFallback, SupportPredicateMatchesContract) {
 
   SimConfig one = config;
   one.shards = 1;
-  EXPECT_NE(sharded_run_disqualifier(one, zipf, sim.network()), nullptr);
+  EXPECT_EQ(sharded_run_disqualifier(one, zipf, sim.network()), nullptr);
 
   SimConfig aggregated = config;
   aggregated.interest_aggregation = true;
@@ -564,11 +589,6 @@ TEST(ShardDeterminismFallback, UnsupportedReasonNamesTheDisqualifier) {
   config.shards = 8;
   Simulation sim(topology::us_a(), config);
   const ZipfWorkload zipf(20, 2000, 0.8, 1);
-
-  SimConfig one = config;
-  one.shards = 1;
-  EXPECT_STREQ(sharded_run_disqualifier(one, zipf, sim.network()),
-               "shards <= 1");
 
   SimConfig aggregated = config;
   aggregated.interest_aggregation = true;
@@ -608,18 +628,17 @@ TEST(ShardDeterminismPhases, PhaseClockCoversBothPhases) {
   EXPECT_GT(phases.measured, 0.0);
 }
 
-TEST(RecordPassTiming, RecordSecondsAreMeasuredOnlyForShardedRuns) {
-  // last_record_seconds() feeds the benches' record-pass timings; it must
-  // be populated (strictly positive) whenever the sharded engine ran and
-  // reset to zero on the other engines.
+TEST(RecordPassTiming, RecordSecondsAreZeroOnEveryEngine) {
+  // Every engine records inside its serve loop, so there is no record pass
+  // to clock; benchmarks estimate record time per request when this is 0.
   SimConfig config = base_config();
-  config.shards = 8;
-  {
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{8}}) {
+    config.shards = shards;
     Simulation sim(topology::us_a(), config);
     sim.run();
-    EXPECT_GT(sim.last_record_seconds(), 0.0);
+    EXPECT_EQ(sim.last_record_seconds(), 0.0);
   }
-  config.shards = 1;
+  config.network.strategy = "lcd";
   Simulation sim(topology::us_a(), config);
   sim.run();
   EXPECT_EQ(sim.last_record_seconds(), 0.0);

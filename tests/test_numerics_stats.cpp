@@ -107,17 +107,18 @@ TEST(RunningStatsMergeTree, FixedShapeIsExplicitPairwiseHalving) {
 }
 
 TEST(RunningStatsMergeTree, IndependentOfShardGrouping) {
-  // The sharded record pass's contract: per-router partials are filled by
-  // whichever shard owns the router, then reduced through the fixed-shape
-  // tree — so the result must depend only on the partials, never on how
-  // routers were grouped into shards. Simulate several shard layouts
-  // filling the same 13 router slots from the same per-router streams.
+  // The windowed engine's recording contract: per-router partials are
+  // filled by whichever shard owns the router, then reduced through the
+  // fixed-shape tree — so the result must depend only on the partials,
+  // never on how routers were grouped into shards. Simulate several shard
+  // layouts filling the same 13 router slots from the same per-router
+  // streams.
   const std::size_t routers = 13;
   const std::vector<double> xs = adversarial_values(13 * 41);
   const auto fill_slots = [&](std::size_t shard_count) {
     std::vector<RunningStats> slots(routers);
     // Each shard owns a contiguous router range and replays its routers'
-    // values in per-router order — mirroring the engine's record pass.
+    // values in per-router order — mirroring the engine's serve loop.
     for (std::size_t s = 0; s < shard_count; ++s) {
       const std::size_t lo = routers * s / shard_count;
       const std::size_t hi = routers * (s + 1) / shard_count;

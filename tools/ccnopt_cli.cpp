@@ -18,11 +18,12 @@
 // for any thread count (deterministic seeding + ordered reduction).
 //
 // --shards=S parallelizes a SINGLE simulate run across S worker shards
-// (sharded request engine; see DESIGN.md §14). Outputs are bit-identical to
-// --shards=1 for any S. Configurations the sharded engine cannot shard
-// exactly (interest aggregation, on-path strategies, globally coupled
-// workloads) run a single-thread engine instead and log the disqualifying
-// reason.
+// (windowed request engine; see DESIGN.md §14), which also serves
+// --shards=1 runs on one thread. Outputs are bit-identical to --shards=1
+// for any S. Configurations the windowed engine cannot shard exactly
+// (interest aggregation, on-path strategies, peer-local fetch, globally
+// coupled workloads) run a single-thread engine instead and, when S > 1,
+// log the disqualifying reason.
 //
 // Observability (any subcommand):
 //   --metrics-out=path   deterministic metrics registry snapshot (.csv → CSV,
@@ -475,7 +476,7 @@ int cmd_simulate(const ArgParser& args) {
   }
 
   sim::Simulation simulation(*graph, config);
-  // Give the sharded engine real threads for the single-run case; pool
+  // Give the windowed engine real threads for the single-run case; pool
   // size tracks --threads so --shards=8 --threads=1 still means one core.
   std::optional<runtime::ThreadPool> pool;
   std::optional<runtime::ShardScheduler> scheduler;

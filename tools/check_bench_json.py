@@ -175,8 +175,7 @@ def validate_throughput_replay_outputs(outputs: dict,
         errors.append(
             f"outputs['shards']: expected positive integer, got {shards!r}")
     for key in ("requests_per_sec_sharded", "requests_per_sec_warmup_phase",
-                "requests_per_sec_measured_phase", "sharded_speedup",
-                "record_pass_seconds_parallel"):
+                "requests_per_sec_measured_phase", "sharded_speedup"):
         value = outputs.get(key)
         if not _is_number(value) or value <= 0:
             errors.append(

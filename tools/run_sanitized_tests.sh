@@ -43,8 +43,8 @@ TARGETS=(
 
 # The shard suites exercise real cross-thread execution; TSan-build these
 # on top of the ASan pass. test_golden_digests runs every simulation cell
-# on a pooled ShardScheduler, whose serve and record passes write cache
-# stores and per-router metric/epoch/topo partials from pool threads —
+# on a pooled ShardScheduler, whose fused serve loops write cache stores
+# and per-router metric/epoch/topo partials from pool threads —
 # TSan proves the router partition really is race-free.
 # test_topology_route_table builds route tables on pool threads (each
 # worker fills its own source blocks of one shared table).

@@ -99,7 +99,7 @@ class Simulation {
   /// the measured-phase report (coordination messages included).
   SimReport run();
 
-  /// Attaches the executor that runs shard bodies when config().shards > 1
+  /// Attaches the executor that runs the windowed engine's shard bodies
   /// (e.g. runtime::ShardScheduler); nullptr (the default) runs the shards
   /// serially on the calling thread. Not owned; must outlive run().
   void set_shard_executor(ShardExecutor* executor) {

@@ -3,6 +3,8 @@
 // level (TEST_P sweep).
 #include <gtest/gtest.h>
 
+#include <cstddef>
+
 #include "ccnopt/sim/simulation.hpp"
 #include "ccnopt/topology/datasets.hpp"
 #include "ccnopt/topology/generators.hpp"
@@ -10,8 +12,24 @@
 namespace ccnopt::sim {
 namespace {
 
+// gtest prints a SimCase as a raw byte dump, and that dump is part of the
+// test names gtest_discover_tests registers. Its first byte is the low byte
+// of `topology`'s address, which for a string literal moves with any change
+// to the binary's layout (other sources, the build directory's path). The
+// topology names therefore sit at fixed offsets in one 256-byte-aligned
+// block; "ring" at 0xA0 keeps the names its cases have been registered under.
+struct alignas(256) TopologyNameBlock {
+  char grid[0x20];
+  char abilene[0x20];
+  char geant[0x60];
+  char ring[0x20];
+};
+static_assert(offsetof(TopologyNameBlock, ring) == 0xA0);
+constexpr TopologyNameBlock kTopologyNames{"grid", "abilene", "geant",
+                                          "ring"};
+
 struct SimCase {
-  const char* topology;  // "ring", "grid", "abilene", "geant"
+  const char* topology;  // a member of kTopologyNames
   LocalStoreMode mode;
   std::size_t coordinated_x;  // out of capacity 40
 };
@@ -109,18 +127,18 @@ std::string sim_case_name(const ::testing::TestParamInfo<SimCase>& info) {
 INSTANTIATE_TEST_SUITE_P(
     AcrossConfigurations, SimInvariants,
     ::testing::Values(
-        SimCase{"ring", LocalStoreMode::kStaticTop, 0},
-        SimCase{"ring", LocalStoreMode::kStaticTop, 20},
-        SimCase{"ring", LocalStoreMode::kLru, 20},
-        SimCase{"ring", LocalStoreMode::kLfu, 40},
-        SimCase{"grid", LocalStoreMode::kStaticTop, 20},
-        SimCase{"grid", LocalStoreMode::kFifo, 10},
-        SimCase{"grid", LocalStoreMode::kRandom, 30},
-        SimCase{"abilene", LocalStoreMode::kStaticTop, 0},
-        SimCase{"abilene", LocalStoreMode::kStaticTop, 40},
-        SimCase{"abilene", LocalStoreMode::kLfu, 20},
-        SimCase{"geant", LocalStoreMode::kStaticTop, 20},
-        SimCase{"geant", LocalStoreMode::kLru, 40}),
+        SimCase{kTopologyNames.ring, LocalStoreMode::kStaticTop, 0},
+        SimCase{kTopologyNames.ring, LocalStoreMode::kStaticTop, 20},
+        SimCase{kTopologyNames.ring, LocalStoreMode::kLru, 20},
+        SimCase{kTopologyNames.ring, LocalStoreMode::kLfu, 40},
+        SimCase{kTopologyNames.grid, LocalStoreMode::kStaticTop, 20},
+        SimCase{kTopologyNames.grid, LocalStoreMode::kFifo, 10},
+        SimCase{kTopologyNames.grid, LocalStoreMode::kRandom, 30},
+        SimCase{kTopologyNames.abilene, LocalStoreMode::kStaticTop, 0},
+        SimCase{kTopologyNames.abilene, LocalStoreMode::kStaticTop, 40},
+        SimCase{kTopologyNames.abilene, LocalStoreMode::kLfu, 20},
+        SimCase{kTopologyNames.geant, LocalStoreMode::kStaticTop, 20},
+        SimCase{kTopologyNames.geant, LocalStoreMode::kLru, 40}),
     sim_case_name);
 
 }  // namespace

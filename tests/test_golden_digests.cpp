@@ -158,6 +158,20 @@ class InactiveRoutersWorkload final : public Workload {
   std::vector<topology::NodeId> inactive_;
 };
 
+/// A globally coupled workload: every router draws from one shared stream,
+/// skewed toward low ranks (rank = 1 + floor(2000 u^3)).
+class SharedStreamWorkload final : public Workload {
+ public:
+  cache::ContentId next(std::size_t) override {
+    const double u = rng_.uniform();
+    return 1 + static_cast<std::uint64_t>(2000.0 * u * u * u) % 2000;
+  }
+  std::uint64_t catalog_size() const override { return 2000; }
+
+ private:
+  Rng rng_{7};
+};
+
 /// The shared base of every cell (the sharded-engine suite's historical
 /// configuration): LRU, every export on, x = 25.
 SimConfig base_config() {
@@ -327,6 +341,21 @@ std::vector<Cell> make_cells() {
     config.measured_requests = 8004;
     add("edge_untraced_ragged", "us-a", config);
   }
+  {
+    // Untraced on-path prob: the admission coins are drawn in serve order,
+    // and no trace merge drives that order.
+    SimConfig config = base_config();
+    config.network.strategy = "prob";
+    config.trace_sample_k = 0;
+    config.timeline_epoch = 7;
+    add("edge_prob_untraced", "geant", config);
+  }
+  // One stream shared by every router: each draw depends on the global
+  // interleaving, so the run must draw in emission order.
+  add("edge_coupled_workload", "cernet", base_config()).workload =
+      [](const topology::Graph&) {
+        return std::make_unique<SharedStreamWorkload>();
+      };
 
   // ReplicationRunner cells: merged traces, timeline and topo, and the
   // registry after all replications.

@@ -37,8 +37,8 @@ std::vector<ChunkRange> static_chunks(std::size_t count,
 /// exactly `block_size` items (the last may be short). Unlike
 /// static_chunks, block boundaries depend only on block_size — never on
 /// the worker count — so work partitioned this way is identical at any
-/// thread count (the property the batched request engine's per-block
-/// processing relies on). Requires block_size >= 1.
+/// thread count (what parallel_for_blocked's per-block setup relies on).
+/// Requires block_size >= 1.
 std::vector<ChunkRange> fixed_blocks(std::size_t count,
                                      std::size_t block_size);
 

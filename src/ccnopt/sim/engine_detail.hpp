@@ -1,8 +1,7 @@
-// Internals shared by Simulation's request engines (the event loop and the
-// batched engine in simulation.cpp, the windowed engine in sharded.cpp):
-// interned registry handles, the timeline epoch recorder, and the
-// end-of-run registry flush. Implementation detail — not installed, not
-// part of the sim API.
+// Internals shared by Simulation's two request engines (the event loop in
+// simulation.cpp, the windowed engine in sharded.cpp): interned registry
+// handles, the timeline epoch recorder, and the end-of-run registry flush.
+// Implementation detail — not installed, not part of the sim API.
 #pragma once
 
 #include <cstdint>
@@ -11,6 +10,7 @@
 #include "ccnopt/common/assert.hpp"
 #include "ccnopt/obs/registry.hpp"
 #include "ccnopt/obs/timeline.hpp"
+#include "ccnopt/obs/topo.hpp"
 #include "ccnopt/sim/metrics.hpp"
 #include "ccnopt/sim/network.hpp"
 
@@ -19,6 +19,15 @@ namespace ccnopt::sim::detail {
 // Sub-stream index of the run seed reserved for the trace sampler, far
 // outside the per-router clock indices [0, router_count).
 inline constexpr std::uint64_t kTraceSeedIndex = 0x7ace5eedULL;
+
+// Both engines pass ServeTier values to obs::TopoRecorder::on_request as
+// its tier codes.
+static_assert(static_cast<std::uint32_t>(ServeTier::kLocal) ==
+              obs::kTopoTierLocal);
+static_assert(static_cast<std::uint32_t>(ServeTier::kNetwork) ==
+              obs::kTopoTierNetwork);
+static_assert(static_cast<std::uint32_t>(ServeTier::kOrigin) ==
+              obs::kTopoTierOrigin);
 
 // Interned handles into obs::metrics(), resolved once per process. Handles
 // survive registry reset(), so the static cache stays valid across runs.
@@ -62,15 +71,13 @@ struct RunMetricHandles {
 //
 // The per-epoch tallies are PER-ROUTER partials: accumulate() may be
 // called concurrently for disjoint routers (the windowed engine's shards),
-// and a flush sums the partials in router-index order — the
-// canonical accumulation order shared by every engine. Every engine calls
-// accumulate() for each router's requests in that router's own order
-// (the serial engines in emission order, the windowed engine router by
-// router), so partials (and therefore rows) are bit-identical whichever
-// engine ran. Engines align
-// their processing blocks/windows to epoch boundaries and drive
-// advance() serially, so the end-of-epoch network snapshot always sees
-// exactly the epoch's requests.
+// and a flush sums the partials in router-index order — the canonical
+// accumulation order. Every caller feeds each router's requests in that
+// router's own order (in emission order, or router by router), so
+// partials (and therefore rows) are bit-identical whichever serve order
+// ran. The windowed engine aligns its windows to epoch boundaries, and
+// both engines drive advance() serially, so the end-of-epoch network
+// snapshot always sees exactly the epoch's requests.
 class EpochRecorder {
  public:
   EpochRecorder(obs::Timeline* timeline, const CcnNetwork* network,
@@ -100,9 +107,9 @@ class EpochRecorder {
   void on_aggregated() { ++aggregated_; }
 
   /// Advances the epoch clock by `n` emitted requests and flushes a row
-  /// when that lands exactly on an epoch boundary. Serial; callers keep
-  /// blocks/windows epoch-aligned so a boundary can only be hit at n's
-  /// end (the event loop advances one request at a time).
+  /// when that lands exactly on an epoch boundary. Serial; the windowed
+  /// engine keeps its windows epoch-aligned so a boundary can only be hit
+  /// at n's end (the event loop advances one request at a time).
   void advance(std::uint64_t n) {
     emitted_ += n;
     if (n > 0 && emitted_ % epoch_requests_ == 0) flush();

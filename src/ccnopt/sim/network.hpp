@@ -126,8 +126,9 @@ class CcnNetwork {
 
   /// Hints the serve()-path state of an upcoming request into cache: the
   /// first-hop store's membership index and the coordinated-owner interval
-  /// entry. Issued by the batched and windowed request engines one
-  /// request ahead; never mutates, never required for correctness.
+  /// entry. Issued by the windowed request engine one request ahead, in
+  /// router-major and in emission-order serving; never mutates, never
+  /// required for correctness.
   void prefetch(topology::NodeId first_hop, cache::ContentId content) const;
 
   // --- Sharded serving ------------------------------------------------------

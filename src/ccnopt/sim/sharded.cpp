@@ -7,23 +7,26 @@
 //                                     window's end (and, in traced runs,
 //                                     of its chunk boundaries), by binary
 //                                     search on the time value
-//   merge     (traced runs only,      each chunk k-way-merges its slice of
-//              parallel over chunks)  the per-router sequences and writes
-//                                     every entry's global request index,
-//                                     which trace sampling keys on
-//   serve     (parallel over shards)  each shard walks its routers and
-//                                     serves each router's window segment
-//                                     in one fused loop: draw, prefetch,
-//                                     serve, then record into per-router
+//   merge     (traced and emission-   each chunk k-way-merges its slice of
+//              order runs, parallel   the per-router sequences: traced
+//              over chunks)           router-major runs write every
+//                                     entry's global request index, which
+//                                     trace sampling keys on; emission-
+//                                     order runs write the window's active
+//                                     positions in global order
+//   serve     router-major (parallel  each shard walks its routers and
+//              over shards) or in     serves each router's window segment
+//              emission order (one    in one fused loop: draw, prefetch,
+//              shard)                 serve, then record into per-router
 //                                     partial accumulators (metrics slots,
-//                                     epoch recorder slots, the shard's
-//                                     own topo recorder) and sample traces
+//                                     epoch recorder slots, a topo
+//                                     recorder) and sample traces
 //
 // Partials fold in router-index order at flush/report time, so no global
 // order is needed to record. Windows truncate at timeline-epoch and warmup
 // boundaries, so the epoch recorder's end-of-epoch network snapshots see
-// exactly the sequential engines' state, every request of a window is in
-// the same phase, and the phase clock stamps the warmup crossing exactly.
+// exactly the epoch's requests, every request of a window is in the same
+// phase, and the phase clock stamps the warmup crossing exactly.
 #include "ccnopt/sim/sharded.hpp"
 
 #include <algorithm>
@@ -50,10 +53,9 @@ namespace {
 // unconsumed arrival times stay cache-resident.
 constexpr std::uint64_t kWindow = 32768;
 
-// One active router's arrival process: the same seeded clock sub-stream
-// the batched engine uses, unrolled into an ascending absolute-time vector.
-// last_time += exponential() reproduces the loop's `top.time + draw` sums
-// bit for bit (both add the draw to the router's previous arrival time).
+// One active router's arrival process: its splitmix64 sub-stream of the
+// run seed, unrolled into an ascending absolute-time vector (each arrival
+// is the previous one plus an exponential draw).
 struct RouterGen {
   explicit RouterGen(std::uint64_t seed) : clock(seed) {}
   Rng clock;
@@ -63,14 +65,17 @@ struct RouterGen {
 };
 
 // Everything one shard owns: its contiguous range of active routers, the
-// network scratch its serves write telemetry into, its whole-run tier and
-// placement recorder, and its trace buffer.
+// network scratch its router-major serves write telemetry into, the
+// recorder its tier events go to, and its trace buffer.
 struct ShardState {
   std::uint32_t lo = 0;  // active-position range [lo, hi)
   std::uint32_t hi = 0;
-  CcnNetwork::ShardScratch scratch;
-  obs::TopoRecorder topo;     // enabled iff the run records topo
-  obs::TraceBuffer traces;    // whole run, router-major per window
+  CcnNetwork::ShardScratch scratch;  // router-major runs only
+  obs::TopoRecorder topo;  // router-major runs that record topo
+  // &topo in router-major runs, the run's recorder in emission-order runs,
+  // null when the run records no topo.
+  obs::TopoRecorder* tier_topo = nullptr;
+  obs::TraceBuffer traces;     // whole run, router-major per window
   std::uint64_t upstream = 0;  // whole-run non-local serves (integer fold)
 };
 
@@ -95,7 +100,8 @@ const char* sharded_run_disqualifier(const SimConfig& config,
   return nullptr;
 }
 
-SimReport Simulation::run_sharded_impl(ShardExecutor& executor) {
+SimReport Simulation::run_windowed(ShardExecutor& executor,
+                                   bool emission_order) {
   const obs::ScopedSpan run_span("sim.run");
   trace_.clear();
   timeline_ = config_.timeline_epoch > 0
@@ -115,11 +121,12 @@ SimReport Simulation::run_sharded_impl(ShardExecutor& executor) {
                               network_->router_count(), links);
   }
   obs::TopoRecorder* const topo = topo_.enabled() ? &topo_ : nullptr;
-  // The shared network carries NO recorder while shards serve — placements
-  // go to the per-shard recorders in the serve scratch, absorbed into the
-  // run recorder at the end. Depth recording mirrors the sequential
-  // engines so placement_depth is computed under the same condition.
-  network_->set_topo_recorder(nullptr);
+  // Router-major shards serve against a network that carries NO recorder:
+  // placements go to the per-shard recorders in the serve scratch, absorbed
+  // into the run recorder at the end. An emission-order run serves alone,
+  // so the network reports placements straight to the run recorder.
+  // Placement depths are computed whenever traces are sampled.
+  network_->set_topo_recorder(emission_order ? topo : nullptr);
   network_->set_record_placement_depth(sampler.enabled());
   std::uint64_t messages = 0;
   {
@@ -148,20 +155,25 @@ SimReport Simulation::run_sharded_impl(ShardExecutor& executor) {
 
   // Contiguous split of the actives across at most `shards` shards (each
   // shard needs at least one router — more shards than routers cannot
-  // help, router-partitioned as the engine is).
-  const std::size_t shard_count = std::min(config_.shards, active_count);
+  // help, router-partitioned as the engine is); emission-order runs use
+  // one.
+  const std::size_t shard_count =
+      emission_order ? 1 : std::min(config_.shards, active_count);
   std::vector<ShardState> shards(shard_count);
   for (std::size_t s = 0; s < shard_count; ++s) {
-    shards[s].lo = static_cast<std::uint32_t>(active_count * s / shard_count);
-    shards[s].hi =
-        static_cast<std::uint32_t>(active_count * (s + 1) / shard_count);
-    obs::TopoRecorder* shard_topo = nullptr;
-    if (config_.record_topo) {
-      shards[s].topo = obs::TopoRecorder(network_->graph().name(),
-                                         network_->router_count(), links);
-      shard_topo = &shards[s].topo;
+    ShardState& shard = shards[s];
+    shard.lo = static_cast<std::uint32_t>(active_count * s / shard_count);
+    shard.hi = static_cast<std::uint32_t>(active_count * (s + 1) / shard_count);
+    if (emission_order) {
+      shard.tier_topo = topo;
+      continue;
     }
-    shards[s].scratch = network_->make_shard_scratch(shard_topo);
+    if (config_.record_topo) {
+      shard.topo = obs::TopoRecorder(network_->graph().name(),
+                                     network_->router_count(), links);
+      shard.tier_topo = &shard.topo;
+    }
+    shard.scratch = network_->make_shard_scratch(shard.tier_topo);
   }
 
   std::vector<RouterGen> gens;
@@ -183,24 +195,26 @@ SimReport Simulation::run_sharded_impl(ShardExecutor& executor) {
   // Cut positions: cut[p][a] = entries of gens[a].times in the window's
   // first p chunks, chunk boundaries being the global-order positions
   // W * p / chunks; cut[0] is all zeros and cut[chunks] ends the window.
-  // Only traced runs merge, one chunk per shard; the rest need the end.
+  // Only traced runs merge in chunks, one per shard; the rest need the
+  // end.
   const bool traced = sampler.enabled();
   const std::size_t chunks = traced ? shard_count : 1;
   std::vector<std::vector<std::size_t>> cut(
       chunks + 1, std::vector<std::size_t>(active_count, 0));
   const std::vector<std::size_t>& end = cut[chunks];
-  // Traced runs only: global request index of each window entry, router
-  // a's segment starting at offset[a].
+  // Traced router-major runs: global request index of each window entry,
+  // router a's segment starting at offset[a].
   std::vector<std::size_t> offset(active_count, 0);
   std::vector<std::uint64_t> win_index;
+  // Emission-order runs: the active position of each window entry.
+  std::vector<std::uint32_t> order;
 
   std::uint64_t emitted = 0;
   while (emitted < total_requests) {
     std::uint64_t window = std::min(kWindow, total_requests - emitted);
     if (recorder) {
       // Epoch-aligned windows: the recorder's end-of-epoch network
-      // snapshot then sees exactly the epoch's requests, like the
-      // sequential engines' epoch-aligned blocks.
+      // snapshot then sees exactly the epoch's requests.
       window = std::min(window, config_.timeline_epoch -
                                     (emitted % config_.timeline_epoch));
     }
@@ -210,11 +224,18 @@ SimReport Simulation::run_sharded_impl(ShardExecutor& executor) {
       warmup_end = Clock::now();
     }
     const bool measured = emitted >= config_.warmup_requests;
+    const std::uint64_t base = emitted;
 
     // --- Generate: extend per-router arrival times until the window's
     // requests are all certain. An entry is certain once it lies strictly
     // below the horizon (the smallest per-router frontier time) — every
-    // future draw lands at or above it.
+    // future draw lands at or above it. Each round extends only the
+    // routers whose frontier is at or below a target time: the horizon
+    // plus each router's share of the missing entries and two more, in
+    // expected arrivals. Routers ahead of the pack draw nothing, so the
+    // unconsumed vectors stay near one window in total. Selection reads
+    // only entries below the horizon, so how far generation runs ahead
+    // never changes the output.
     std::uint64_t available = 0;
     for (;;) {
       double horizon = std::numeric_limits<double>::infinity();
@@ -229,12 +250,13 @@ SimReport Simulation::run_sharded_impl(ShardExecutor& executor) {
         available += gen.avail;
       }
       if (available >= window) break;
-      const std::size_t grow = std::max<std::size_t>(
-          64, (window - available) / active_count + 32);
+      const double target =
+          horizon +
+          static_cast<double>((window - available) / active_count + 2) / rate;
       executor.run_shards(shard_count, [&](std::size_t s) {
         for (std::uint32_t a = shards[s].lo; a < shards[s].hi; ++a) {
           RouterGen& gen = gens[a];
-          for (std::size_t n = 0; n < grow; ++n) {
+          while (gen.last_time <= target) {
             gen.last_time += gen.clock.exponential(rate);
             gen.times.push_back(gen.last_time);
           }
@@ -298,18 +320,23 @@ SimReport Simulation::run_sharded_impl(ShardExecutor& executor) {
       CCNOPT_ASSERT(extra == 0);
     }
 
-    // --- Merge (traced runs, measured windows): each chunk k-way-merges
-    // its slice of the per-router sequences and writes each entry's global
-    // request index into that router's segment of win_index.
+    // --- Merge (emission-order runs, and traced runs' measured windows):
+    // each chunk k-way-merges its slice of the per-router sequences. An
+    // emission-order run writes each entry's active position in global
+    // order; a router-major run writes each entry's global request index
+    // into that router's segment of win_index.
     const bool sampling = traced && measured;
-    if (sampling) {
-      const std::uint64_t base = emitted;
+    if (emission_order) {
+      order.resize(window);
+    } else if (sampling) {
       std::size_t running = 0;
       for (std::size_t a = 0; a < active_count; ++a) {
         offset[a] = running;
         running += end[a];
       }
       win_index.resize(window);
+    }
+    if (emission_order || sampling) {
       executor.run_shards(chunks, [&](std::size_t p) {
         struct HeapEntry {
           double time;
@@ -333,7 +360,12 @@ SimReport Simulation::run_sharded_impl(ShardExecutor& executor) {
         while (!heap.empty()) {
           const HeapEntry top = heap.top();
           heap.pop();
-          win_index[offset[top.a] + pos[top.a]] = base + out++;
+          if (emission_order) {
+            order[out] = top.a;
+          } else {
+            win_index[offset[top.a] + pos[top.a]] = base + out;
+          }
+          ++out;
           if (++pos[top.a] < cut[p + 1][top.a]) {
             heap.push(HeapEntry{gens[top.a].times[pos[top.a]], top.a});
           }
@@ -342,84 +374,116 @@ SimReport Simulation::run_sharded_impl(ShardExecutor& executor) {
       });
     }
 
-    // --- Serve: each shard walks its routers in active order and serves
-    // each router's window segment, drawing the next request's content and
-    // prefetching its cache state one request ahead, then records the
-    // result straight into the per-router partials. Per-router draw and
-    // serve order equals the sequential engines' (the global order
-    // restricted to one router is that router's order) and the workload
-    // streams are per-router, so content values and cache transitions
-    // match bit for bit; every double accumulation is per-router, so
-    // router-major recording reproduces the canonical partials too. Tier
-    // events go to the shard's OWN topo recorder (served_for_peers may
-    // cross shards; integer counters fold exactly at absorb time).
-    executor.run_shards(shard_count, [&](std::size_t s) {
-      ShardState& shard = shards[s];
-      obs::TopoRecorder* const shard_topo =
-          measured && topo != nullptr ? &shard.topo : nullptr;
+    // The per-request record body of both serve loops: the epoch recorder
+    // and upstream count for every request; the metrics slot, the tier
+    // event and the sampled trace for measured ones. Every accumulation
+    // is per-router (or an integer count), so it is safe from concurrent
+    // shards owning disjoint routers. A trace must be taken straight after
+    // the serve that produced `result` — the hop path reads the routing
+    // scratch of the request in flight.
+    const auto record = [&](ShardState& shard, std::uint64_t& upstream,
+                            topology::NodeId router, cache::ContentId content,
+                            const ServeResult& result, std::uint64_t index) {
+      if (epoch != nullptr) epoch->accumulate(router, result);
+      if (result.tier != ServeTier::kLocal) ++upstream;
+      if (!measured) return;
+      metrics.record(router, result.tier, result.latency_ms, result.hops);
+      if (shard.tier_topo != nullptr) {
+        shard.tier_topo->on_request(static_cast<std::uint32_t>(router),
+                                    static_cast<std::uint32_t>(result.tier),
+                                    result.served_by, result.latency_ms,
+                                    result.hops);
+      }
+      if (sampling && sampler.should_sample(index)) {
+        obs::TraceEvent event{
+            0, index, static_cast<std::uint32_t>(router), content,
+            to_string(result.tier), result.hops,
+            static_cast<std::uint32_t>(result.served_by), {}, -1,
+            result.latency_ms};
+        event.path = network_->hop_path(router, result);
+        event.placement_depth = result.placement_depth;
+        shard.traces.push_back(std::move(event));
+      }
+    };
+
+    if (emission_order) {
+      // --- Serve in emission order, one shard: draw each content in
+      // global order (a coupled workload's stream depends on it), prefetch
+      // the next request's cache state, and serve() against the shared
+      // network, whose on-path walks and peer fetches may touch any
+      // router's store and count links straight into its counters.
+      ShardState& shard = shards[0];
       std::uint64_t upstream = 0;
-      std::uint32_t a = shard.lo;
-      std::size_t j = 0;
-      while (a < shard.hi && end[a] == 0) ++a;
-      if (a == shard.hi) return;
-      topology::NodeId router = actives[a];
+      topology::NodeId router = actives[order[0]];
       cache::ContentId content = workload_->next(router);
-      for (;;) {
-        // The shard's next request: this router's next arrival, else the
-        // first arrival of the next router with any in this window.
-        std::uint32_t next_a = a;
-        std::size_t next_j = j + 1;
-        while (next_a < shard.hi && next_j == end[next_a]) {
-          ++next_a;
-          next_j = 0;
-        }
-        const bool more = next_a < shard.hi;
+      for (std::uint64_t i = 0; i < window; ++i) {
         topology::NodeId next_router = 0;
         cache::ContentId next_content = 0;
-        if (more) {
-          next_router = actives[next_a];
+        if (i + 1 < window) {
+          next_router = actives[order[i + 1]];
           next_content = workload_->next(next_router);
           network_->prefetch(next_router, next_content);
         }
-        const ServeResult result =
-            network_->serve_sharded(router, content, shard.scratch);
-        if (epoch != nullptr) epoch->accumulate(router, result);
-        if (result.tier != ServeTier::kLocal) ++upstream;
-        if (measured) {
-          metrics.record(router, result.tier, result.latency_ms, result.hops);
-          if (shard_topo != nullptr) {
-            shard_topo->on_request(static_cast<std::uint32_t>(router),
-                                   static_cast<std::uint32_t>(result.tier),
-                                   result.served_by, result.latency_ms,
-                                   result.hops);
-          }
-          if (sampling) {
-            const std::uint64_t index = win_index[offset[a] + j];
-            if (sampler.should_sample(index)) {
-              obs::TraceEvent event{
-                  0, index, static_cast<std::uint32_t>(router), content,
-                  to_string(result.tier), result.hops,
-                  static_cast<std::uint32_t>(result.served_by), {}, -1,
-                  result.latency_ms};
-              event.path = network_->hop_path(router, result);
-              event.placement_depth = result.placement_depth;
-              shard.traces.push_back(std::move(event));
-            }
-          }
-        }
-        if (!more) break;
-        a = next_a;
-        j = next_j;
+        const ServeResult result = network_->serve(router, content);
+        record(shard, upstream, router, content, result, base + i);
         router = next_router;
         content = next_content;
       }
       shard.upstream += upstream;
-    });
-
-    // Fold the shard link counters before the epoch recorder's boundary
-    // snapshot reads them; only that flush stays serial.
-    for (ShardState& shard : shards) {
-      network_->fold_shard_scratch(shard.scratch);
+    } else {
+      // --- Serve router-major: each shard walks its routers in active
+      // order and serves each router's window segment, drawing the next
+      // request's content and prefetching its cache state one request
+      // ahead. Per-router draw and serve order equals the emission order
+      // restricted to that router, and the workload streams are per-router,
+      // so content values and cache transitions are those of the emission
+      // order bit for bit; every double accumulation is per-router, so
+      // router-major recording reproduces the canonical partials too. Tier
+      // events go to the shard's OWN topo recorder (served_for_peers may
+      // cross shards; integer counters fold exactly at absorb time).
+      executor.run_shards(shard_count, [&](std::size_t s) {
+        ShardState& shard = shards[s];
+        std::uint64_t upstream = 0;
+        std::uint32_t a = shard.lo;
+        std::size_t j = 0;
+        while (a < shard.hi && end[a] == 0) ++a;
+        if (a == shard.hi) return;
+        topology::NodeId router = actives[a];
+        cache::ContentId content = workload_->next(router);
+        for (;;) {
+          // The shard's next request: this router's next arrival, else the
+          // first arrival of the next router with any in this window.
+          std::uint32_t next_a = a;
+          std::size_t next_j = j + 1;
+          while (next_a < shard.hi && next_j == end[next_a]) {
+            ++next_a;
+            next_j = 0;
+          }
+          const bool more = next_a < shard.hi;
+          topology::NodeId next_router = 0;
+          cache::ContentId next_content = 0;
+          if (more) {
+            next_router = actives[next_a];
+            next_content = workload_->next(next_router);
+            network_->prefetch(next_router, next_content);
+          }
+          const ServeResult result =
+              network_->serve_sharded(router, content, shard.scratch);
+          record(shard, upstream, router, content, result,
+                 sampling ? win_index[offset[a] + j] : 0);
+          if (!more) break;
+          a = next_a;
+          j = next_j;
+          router = next_router;
+          content = next_content;
+        }
+        shard.upstream += upstream;
+      });
+      // Fold the shard link counters before the epoch recorder's boundary
+      // snapshot reads them; only that flush stays serial.
+      for (ShardState& shard : shards) {
+        network_->fold_shard_scratch(shard.scratch);
+      }
     }
     if (recorder) recorder->advance(window);
     emitted += window;
@@ -440,10 +504,10 @@ SimReport Simulation::run_sharded_impl(ShardExecutor& executor) {
   // exactly under any grouping; the double latency sums are per-router
   // and only the owning shard's recorder carries a non-zero value, so
   // absorbing the others adds a bit-neutral +0.0 — shard index order
-  // keeps the fold canonical anyway). Then take the same end-of-run
-  // snapshots as the sequential engines; the per-router cache snapshot
-  // writes disjoint nodes, so it folds over fixed index-ordered router
-  // blocks on the executor.
+  // keeps the fold canonical anyway; an emission-order run's shard has
+  // none, its events went to the run recorder). Then take the end-of-run
+  // snapshots; the per-router cache snapshot writes disjoint nodes, so it
+  // folds over fixed index-ordered router blocks on the executor.
   if (topo != nullptr) {
     for (ShardState& shard : shards) {
       topo->absorb(shard.topo);

@@ -42,18 +42,18 @@ struct SimConfig {
   /// alias table at small catalogs and switches to the constant-memory
   /// rejection-inversion sampler at web-scale catalogs.
   popularity::SamplerKind sampler_kind = popularity::SamplerKind::kAuto;
-  /// Shards of the windowed request engine (at least 1). Every run that
-  /// qualifies (see sharded_run_disqualifier in sharded.hpp) is served by
-  /// that engine, shards = 1 included: the request stream is partitioned
-  /// by first-hop router across this many shards, each serving its
-  /// routers' window segments router-major against the one shared
-  /// network. Every output (report, metrics, timeline, topo, traces) is
-  /// byte-identical at any shard count and to the batched engine; an
-  /// attached ShardExecutor (set_shard_executor) supplies the worker
-  /// threads, otherwise the shards run serially on the calling thread.
-  /// Runs that do not qualify take the batched engine or the event loop
-  /// (with a one-line CCNOPT_LOG(kWarn) naming the disqualifier when
-  /// shards > 1, so bench runs cannot silently measure a single thread).
+  /// Shards of the windowed request engine (at least 1), which serves
+  /// every run without interest aggregation. A run that qualifies (see
+  /// sharded_run_disqualifier in sharded.hpp) has its request stream
+  /// partitioned by first-hop router across this many shards, each
+  /// serving its routers' window segments router-major against the one
+  /// shared network; an attached ShardExecutor (set_shard_executor)
+  /// supplies the worker threads, otherwise the shards run serially on
+  /// the calling thread. Any other run is served on one shard in emission
+  /// order, with a one-line CCNOPT_LOG(kWarn) naming the disqualifier when
+  /// shards > 1, so bench runs cannot silently measure a single thread.
+  /// Every output (report, metrics, timeline, topo, traces) is
+  /// byte-identical at any shard count.
   std::size_t shards = 1;
   std::uint64_t seed = 42;
   /// Time-resolved telemetry: when > 0, the run accumulates an
@@ -121,10 +121,10 @@ class Simulation {
   /// when it is 0.
   double last_record_seconds() const { return 0.0; }
 
-  /// The engine that served the last run(): "windowed" (router-major
-  /// windows, sharded.cpp), "batched" (the merge-heap block engine, for
-  /// runs sharded_run_disqualifier rejects) or "event_loop" (interest
-  /// aggregation). Empty before the first run().
+  /// The engine that served the last run(): "event_loop" (interest
+  /// aggregation) or "windowed" (sharded.cpp: router-major shards, or one
+  /// shard in emission order for the runs sharded_run_disqualifier
+  /// rejects). Empty before the first run().
   std::string_view last_engine() const { return last_engine_; }
 
   const CcnNetwork& network() const { return *network_; }
@@ -144,9 +144,11 @@ class Simulation {
   const obs::TopoRecorder& topo() const { return topo_; }
 
  private:
-  /// The windowed request engine (sharded.cpp); reached from run() when
-  /// the run qualifies.
-  SimReport run_sharded_impl(ShardExecutor& executor);
+  /// The windowed request engine (sharded.cpp), which run() takes for
+  /// every run without interest aggregation; `emission_order` serves on
+  /// one shard in the global order (runs sharded_run_disqualifier
+  /// rejects).
+  SimReport run_windowed(ShardExecutor& executor, bool emission_order);
 
   SimConfig config_;
   std::unique_ptr<CcnNetwork> network_;

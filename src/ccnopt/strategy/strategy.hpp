@@ -5,7 +5,7 @@
 //
 // Hot-path contract: virtual calls happen only at provision/bind time. The
 // per-request serve loop reads the strategy through DataPlane — two enums
-// and two scalars — so the batched replay engine of sim/simulation.cpp
+// and two scalars — so the windowed request engine of sim/sharded.cpp
 // keeps its throughput regardless of which strategy is bound.
 #pragma once
 

@@ -9,10 +9,11 @@
 // Each simulation cell is checked three ways against the same digest:
 // shards = 1, shards = S on a SerialShardExecutor, and shards = S on a
 // pooled runtime::ShardScheduler (S = 4 unless the cell says otherwise).
-// Cells that qualify take the windowed engine at every S, one included;
-// the rest take the documented fallback, which must reproduce the same
-// bytes. Replication cells
-// run through runtime::ReplicationRunner on 1 and on 8 threads.
+// Cells that qualify are served router-major at every S, one included;
+// the rest are served on one shard in emission order at every S, or by the
+// event loop under interest aggregation, and must reproduce the same
+// bytes. Replication cells run through runtime::ReplicationRunner on 1 and
+// on 8 threads.
 //
 // On a mismatch the failure prints the cell name and its new line in the
 // data file's format. An intentional output change is therefore a
@@ -548,9 +549,10 @@ TEST(SimIndexDeterminism, SparseIndexActiveWhereExpected) {
 }
 
 TEST(ShardDeterminismEdges, EngineDispatchFollowsTheDisqualifier) {
-  // A qualifying run takes the windowed engine at shards = 1 too; on-path
-  // LCD falls back to the batched engine, and interest aggregation to the
-  // event loop.
+  // Every run without interest aggregation takes the windowed engine, at
+  // shards = 1 too: router-major when it qualifies, on one shard in
+  // emission order when it does not (on-path LCD, peer-local fetch, a
+  // coupled workload). Interest aggregation takes the event loop.
   SimConfig config = base_config();
   config.shards = 1;
   {
@@ -564,7 +566,20 @@ TEST(ShardDeterminismEdges, EngineDispatchFollowsTheDisqualifier) {
     lcd.network.strategy = "lcd";
     Simulation sim(topology::cernet(), lcd);
     sim.run();
-    EXPECT_EQ(sim.last_engine(), "batched");
+    EXPECT_EQ(sim.last_engine(), "windowed");
+  }
+  {
+    SimConfig peer_fetch = config;
+    peer_fetch.network.allow_peer_local_fetch = true;
+    Simulation sim(topology::cernet(), peer_fetch);
+    sim.run();
+    EXPECT_EQ(sim.last_engine(), "windowed");
+  }
+  {
+    Simulation sim(topology::cernet(), config);
+    sim.set_workload(std::make_unique<SharedStreamWorkload>());
+    sim.run();
+    EXPECT_EQ(sim.last_engine(), "windowed");
   }
   {
     SimConfig aggregated = config;

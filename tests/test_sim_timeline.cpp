@@ -1,7 +1,8 @@
 // Tests of the time-resolved telemetry contract: timelines are
-// byte-identical for any thread count, per-epoch deltas sum to the
-// whole-run report/counters, and the batched engine's epoch boundaries
-// match the pure event loop exactly.
+// byte-identical for any thread count, per-epoch deltas and end-of-epoch
+// gauges reconcile with the whole-run report and network counters, the
+// aggregated column counts interest joiners, and a timeline rebuilds the
+// run's report.
 #include <cmath>
 #include <sstream>
 #include <string>

@@ -21,9 +21,9 @@
 // (windowed request engine; see DESIGN.md §14), which also serves
 // --shards=1 runs on one thread. Outputs are bit-identical to --shards=1
 // for any S. Configurations the windowed engine cannot shard exactly
-// (interest aggregation, on-path strategies, peer-local fetch, globally
-// coupled workloads) run a single-thread engine instead and, when S > 1,
-// log the disqualifying reason.
+// (on-path strategies, peer-local fetch, globally coupled workloads) are
+// served on one shard in emission order, interest aggregation by the event
+// loop; when S > 1 the run logs the disqualifying reason.
 //
 // Observability (any subcommand):
 //   --metrics-out=path   deterministic metrics registry snapshot (.csv → CSV,

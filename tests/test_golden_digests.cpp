@@ -357,6 +357,24 @@ std::vector<Cell> make_cells() {
       [](const topology::Graph&) {
         return std::make_unique<SharedStreamWorkload>();
       };
+  // No timeline epoch and 80000 requests: full 32768-request windows.
+  {
+    // Emission order with candidates left over past each window's end.
+    SimConfig config = base_config();
+    config.network.strategy = "lcd";
+    config.timeline_epoch = 0;
+    config.warmup_requests = 10000;
+    config.measured_requests = 70000;
+    add("edge_waxman150_lcd_full_windows", "waxman150", config);
+  }
+  {
+    // Traced router-major: each full window's global request indices.
+    SimConfig config = base_config();
+    config.timeline_epoch = 0;
+    config.warmup_requests = 10000;
+    config.measured_requests = 70000;
+    add("edge_us_a_traced_full_windows", "us-a", config);
+  }
 
   // ReplicationRunner cells: merged traces, timeline and topo, and the
   // registry after all replications.

@@ -236,32 +236,35 @@ SimReport Simulation::run_windowed(ShardExecutor& executor,
     // unconsumed vectors stay near one window in total. Selection reads
     // only entries below the horizon, so how far generation runs ahead
     // never changes the output.
-    std::uint64_t available = 0;
-    for (;;) {
-      double horizon = std::numeric_limits<double>::infinity();
-      for (const RouterGen& gen : gens) {
-        horizon = std::min(horizon, gen.last_time);
-      }
-      available = 0;
-      for (RouterGen& gen : gens) {
-        gen.avail = static_cast<std::size_t>(
-            std::lower_bound(gen.times.begin(), gen.times.end(), horizon) -
-            gen.times.begin());
-        available += gen.avail;
-      }
-      if (available >= window) break;
-      const double target =
-          horizon +
-          static_cast<double>((window - available) / active_count + 2) / rate;
-      executor.run_shards(shard_count, [&](std::size_t s) {
-        for (std::uint32_t a = shards[s].lo; a < shards[s].hi; ++a) {
-          RouterGen& gen = gens[a];
-          while (gen.last_time <= target) {
-            gen.last_time += gen.clock.exponential(rate);
-            gen.times.push_back(gen.last_time);
-          }
+    {
+      const obs::ScopedSpan generate_span("sim.generate");
+      std::uint64_t available = 0;
+      for (;;) {
+        double horizon = std::numeric_limits<double>::infinity();
+        for (const RouterGen& gen : gens) {
+          horizon = std::min(horizon, gen.last_time);
         }
-      });
+        available = 0;
+        for (RouterGen& gen : gens) {
+          gen.avail = static_cast<std::size_t>(
+              std::lower_bound(gen.times.begin(), gen.times.end(), horizon) -
+              gen.times.begin());
+          available += gen.avail;
+        }
+        if (available >= window) break;
+        const std::uint64_t missing = window - available;
+        const double target =
+            horizon + static_cast<double>(missing / active_count + 2) / rate;
+        executor.run_shards(shard_count, [&](std::size_t s) {
+          for (std::uint32_t a = shards[s].lo; a < shards[s].hi; ++a) {
+            RouterGen& gen = gens[a];
+            while (gen.last_time <= target) {
+              gen.last_time += gen.clock.exponential(rate);
+              gen.times.push_back(gen.last_time);
+            }
+          }
+        });
+      }
     }
 
     // --- Select: per-router cut positions of each chunk boundary — the
@@ -269,55 +272,58 @@ SimReport Simulation::run_windowed(ShardExecutor& executor,
     // position). Binary search on the time value down to adjacent
     // doubles; any remainder is then a tie on one exact value, broken in
     // ascending active-position order (the merge heap's tie-break).
-    const auto count_le = [&](double value) {
-      std::uint64_t count = 0;
-      for (const RouterGen& gen : gens) {
-        const auto begin = gen.times.begin();
-        count += static_cast<std::uint64_t>(
-            std::upper_bound(begin, begin + gen.avail, value) - begin);
-      }
-      return count;
-    };
-    for (std::size_t p = 1; p <= chunks; ++p) {
-      const std::uint64_t k = window * p / chunks;
-      if (k == 0) {  // degenerate tiny windows
-        cut[p] = cut[0];
-        continue;
-      }
-      double lo = -1.0;
-      double hi = std::numeric_limits<double>::infinity();
-      for (const RouterGen& gen : gens) {
-        hi = std::min(hi, gen.last_time);
-      }
-      for (;;) {
-        const double mid = lo + (hi - lo) / 2.0;
-        if (!(mid > lo && mid < hi)) break;
-        const std::uint64_t count = count_le(mid);
-        if (count >= k) {
-          hi = mid;
-          if (count == k) break;
-        } else {
-          lo = mid;
+    {
+      const obs::ScopedSpan select_span("sim.select");
+      const auto count_le = [&](double value) {
+        std::uint64_t count = 0;
+        for (const RouterGen& gen : gens) {
+          const auto begin = gen.times.begin();
+          count += static_cast<std::uint64_t>(
+              std::upper_bound(begin, begin + gen.avail, value) - begin);
         }
+        return count;
+      };
+      for (std::size_t p = 1; p <= chunks; ++p) {
+        const std::uint64_t k = window * p / chunks;
+        if (k == 0) {  // degenerate tiny windows
+          cut[p] = cut[0];
+          continue;
+        }
+        double lo = -1.0;
+        double hi = std::numeric_limits<double>::infinity();
+        for (const RouterGen& gen : gens) {
+          hi = std::min(hi, gen.last_time);
+        }
+        for (;;) {
+          const double mid = lo + (hi - lo) / 2.0;
+          if (!(mid > lo && mid < hi)) break;
+          const std::uint64_t count = count_le(mid);
+          if (count >= k) {
+            hi = mid;
+            if (count == k) break;
+          } else {
+            lo = mid;
+          }
+        }
+        std::uint64_t taken = 0;
+        for (std::size_t a = 0; a < active_count; ++a) {
+          const auto begin = gens[a].times.begin();
+          cut[p][a] = static_cast<std::size_t>(
+              std::upper_bound(begin, begin + gens[a].avail, lo) - begin);
+          taken += cut[p][a];
+        }
+        std::uint64_t extra = k - taken;
+        for (std::size_t a = 0; a < active_count && extra > 0; ++a) {
+          const auto begin = gens[a].times.begin();
+          const std::size_t up_hi = static_cast<std::size_t>(
+              std::upper_bound(begin, begin + gens[a].avail, hi) - begin);
+          const std::uint64_t more =
+              std::min<std::uint64_t>(extra, up_hi - cut[p][a]);
+          cut[p][a] += more;
+          extra -= more;
+        }
+        CCNOPT_ASSERT(extra == 0);
       }
-      std::uint64_t taken = 0;
-      for (std::size_t a = 0; a < active_count; ++a) {
-        const auto begin = gens[a].times.begin();
-        cut[p][a] = static_cast<std::size_t>(
-            std::upper_bound(begin, begin + gens[a].avail, lo) - begin);
-        taken += cut[p][a];
-      }
-      std::uint64_t extra = k - taken;
-      for (std::size_t a = 0; a < active_count && extra > 0; ++a) {
-        const auto begin = gens[a].times.begin();
-        const std::size_t up_hi = static_cast<std::size_t>(
-            std::upper_bound(begin, begin + gens[a].avail, hi) - begin);
-        const std::uint64_t more =
-            std::min<std::uint64_t>(extra, up_hi - cut[p][a]);
-        cut[p][a] += more;
-        extra -= more;
-      }
-      CCNOPT_ASSERT(extra == 0);
     }
 
     // --- Merge (emission-order runs, and traced runs' measured windows):
@@ -337,6 +343,7 @@ SimReport Simulation::run_windowed(ShardExecutor& executor,
       win_index.resize(window);
     }
     if (emission_order || sampling) {
+      const obs::ScopedSpan order_span("sim.order");
       executor.run_shards(chunks, [&](std::size_t p) {
         struct HeapEntry {
           double time;
@@ -406,86 +413,89 @@ SimReport Simulation::run_windowed(ShardExecutor& executor,
       }
     };
 
-    if (emission_order) {
-      // --- Serve in emission order, one shard: draw each content in
-      // global order (a coupled workload's stream depends on it), prefetch
-      // the next request's cache state, and serve() against the shared
-      // network, whose on-path walks and peer fetches may touch any
-      // router's store and count links straight into its counters.
-      ShardState& shard = shards[0];
-      std::uint64_t upstream = 0;
-      topology::NodeId router = actives[order[0]];
-      cache::ContentId content = workload_->next(router);
-      for (std::uint64_t i = 0; i < window; ++i) {
-        topology::NodeId next_router = 0;
-        cache::ContentId next_content = 0;
-        if (i + 1 < window) {
-          next_router = actives[order[i + 1]];
-          next_content = workload_->next(next_router);
-          network_->prefetch(next_router, next_content);
-        }
-        const ServeResult result = network_->serve(router, content);
-        record(shard, upstream, router, content, result, base + i);
-        router = next_router;
-        content = next_content;
-      }
-      shard.upstream += upstream;
-    } else {
-      // --- Serve router-major: each shard walks its routers in active
-      // order and serves each router's window segment, drawing the next
-      // request's content and prefetching its cache state one request
-      // ahead. Per-router draw and serve order equals the emission order
-      // restricted to that router, and the workload streams are per-router,
-      // so content values and cache transitions are those of the emission
-      // order bit for bit; every double accumulation is per-router, so
-      // router-major recording reproduces the canonical partials too. Tier
-      // events go to the shard's OWN topo recorder (served_for_peers may
-      // cross shards; integer counters fold exactly at absorb time).
-      executor.run_shards(shard_count, [&](std::size_t s) {
-        ShardState& shard = shards[s];
+    {
+      const obs::ScopedSpan serve_span("sim.serve");
+      if (emission_order) {
+        // --- Serve in emission order, one shard: draw each content in
+        // global order (a coupled workload's stream depends on it), prefetch
+        // the next request's cache state, and serve() against the shared
+        // network, whose on-path walks and peer fetches may touch any
+        // router's store and count links straight into its counters.
+        ShardState& shard = shards[0];
         std::uint64_t upstream = 0;
-        std::uint32_t a = shard.lo;
-        std::size_t j = 0;
-        while (a < shard.hi && end[a] == 0) ++a;
-        if (a == shard.hi) return;
-        topology::NodeId router = actives[a];
+        topology::NodeId router = actives[order[0]];
         cache::ContentId content = workload_->next(router);
-        for (;;) {
-          // The shard's next request: this router's next arrival, else the
-          // first arrival of the next router with any in this window.
-          std::uint32_t next_a = a;
-          std::size_t next_j = j + 1;
-          while (next_a < shard.hi && next_j == end[next_a]) {
-            ++next_a;
-            next_j = 0;
-          }
-          const bool more = next_a < shard.hi;
+        for (std::uint64_t i = 0; i < window; ++i) {
           topology::NodeId next_router = 0;
           cache::ContentId next_content = 0;
-          if (more) {
-            next_router = actives[next_a];
+          if (i + 1 < window) {
+            next_router = actives[order[i + 1]];
             next_content = workload_->next(next_router);
             network_->prefetch(next_router, next_content);
           }
-          const ServeResult result =
-              network_->serve_sharded(router, content, shard.scratch);
-          record(shard, upstream, router, content, result,
-                 sampling ? win_index[offset[a] + j] : 0);
-          if (!more) break;
-          a = next_a;
-          j = next_j;
+          const ServeResult result = network_->serve(router, content);
+          record(shard, upstream, router, content, result, base + i);
           router = next_router;
           content = next_content;
         }
         shard.upstream += upstream;
-      });
-      // Fold the shard link counters before the epoch recorder's boundary
-      // snapshot reads them; only that flush stays serial.
-      for (ShardState& shard : shards) {
-        network_->fold_shard_scratch(shard.scratch);
+      } else {
+        // --- Serve router-major: each shard walks its routers in active
+        // order and serves each router's window segment, drawing the next
+        // request's content and prefetching its cache state one request
+        // ahead. Per-router draw and serve order equals the emission order
+        // restricted to that router, and the workload streams are per-router,
+        // so content values and cache transitions are those of the emission
+        // order bit for bit; every double accumulation is per-router, so
+        // router-major recording reproduces the canonical partials too. Tier
+        // events go to the shard's OWN topo recorder (served_for_peers may
+        // cross shards; integer counters fold exactly at absorb time).
+        executor.run_shards(shard_count, [&](std::size_t s) {
+          ShardState& shard = shards[s];
+          std::uint64_t upstream = 0;
+          std::uint32_t a = shard.lo;
+          std::size_t j = 0;
+          while (a < shard.hi && end[a] == 0) ++a;
+          if (a == shard.hi) return;
+          topology::NodeId router = actives[a];
+          cache::ContentId content = workload_->next(router);
+          for (;;) {
+            // The shard's next request: this router's next arrival, else the
+            // first arrival of the next router with any in this window.
+            std::uint32_t next_a = a;
+            std::size_t next_j = j + 1;
+            while (next_a < shard.hi && next_j == end[next_a]) {
+              ++next_a;
+              next_j = 0;
+            }
+            const bool more = next_a < shard.hi;
+            topology::NodeId next_router = 0;
+            cache::ContentId next_content = 0;
+            if (more) {
+              next_router = actives[next_a];
+              next_content = workload_->next(next_router);
+              network_->prefetch(next_router, next_content);
+            }
+            const ServeResult result =
+                network_->serve_sharded(router, content, shard.scratch);
+            record(shard, upstream, router, content, result,
+                   sampling ? win_index[offset[a] + j] : 0);
+            if (!more) break;
+            a = next_a;
+            j = next_j;
+            router = next_router;
+            content = next_content;
+          }
+          shard.upstream += upstream;
+        });
+        // Fold the shard link counters before the epoch recorder's boundary
+        // snapshot reads them; only that flush stays serial.
+        for (ShardState& shard : shards) {
+          network_->fold_shard_scratch(shard.scratch);
+        }
       }
+      if (recorder) recorder->advance(window);
     }
-    if (recorder) recorder->advance(window);
     emitted += window;
 
     // --- Drop the window's arrival times.

@@ -1,7 +1,11 @@
 #include "ccnopt/sim/simulation.hpp"
 
+#include <cstdint>
+#include <string>
+
 #include <gtest/gtest.h>
 
+#include "ccnopt/obs/span.hpp"
 #include "ccnopt/topology/datasets.hpp"
 #include "ccnopt/topology/generators.hpp"
 
@@ -116,6 +120,40 @@ TEST(Simulation, CustomWorkloadInstalls) {
   // Rank 1 is in every static top-50: all local.
   EXPECT_DOUBLE_EQ(report.local_fraction, 1.0);
   EXPECT_DOUBLE_EQ(report.mean_hops, 0.0);
+}
+
+/// Closed spans recorded under `path` since the last profiler reset.
+std::uint64_t span_count(const std::string& path) {
+  for (const obs::SpanAggregate& span :
+       obs::SpanProfiler::instance().snapshot()) {
+    if (span.path == path) return span.count;
+  }
+  return 0;
+}
+
+TEST(Simulation, StageSpansRecordEachWindow) {
+  // 12 epoch-aligned windows of 1000 requests.
+  SimConfig config = base_config();
+  config.network.local_mode = LocalStoreMode::kLru;
+  config.warmup_requests = 2000;
+  config.measured_requests = 10000;
+  config.timeline_epoch = 1000;
+  SimConfig lcd = config;
+  lcd.network.strategy = "lcd";
+  obs::SpanProfiler::instance().reset();
+  Simulation on_path(topology::cernet(), lcd);
+  on_path.run();
+  EXPECT_EQ(span_count("sim.run/sim.replay/sim.generate"), 12u);
+  EXPECT_EQ(span_count("sim.run/sim.replay/sim.order"), 12u);
+  EXPECT_EQ(span_count("sim.run/sim.replay/sim.serve"), 12u);
+
+  // Untraced router-major windows need no global order.
+  obs::SpanProfiler::instance().reset();
+  Simulation router_major(topology::us_a(), config);
+  router_major.run();
+  EXPECT_EQ(span_count("sim.run/sim.replay/sim.order"), 0u);
+  EXPECT_EQ(span_count("sim.run/sim.replay/sim.select"), 12u);
+  EXPECT_EQ(span_count("sim.run/sim.replay/sim.serve"), 12u);
 }
 
 TEST(SimulationDeath, WorkloadLargerThanCatalogRejected) {

@@ -1,10 +1,14 @@
 // Internals shared by Simulation's two request engines (the event loop in
 // simulation.cpp, the windowed engine in sharded.cpp): interned registry
-// handles, the timeline epoch recorder, and the end-of-run registry flush.
+// handles, the timeline epoch recorder, the end-of-run registry flush, and
+// the windowed engine's per-window order.
 // Implementation detail — not installed, not part of the sim API.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "ccnopt/common/assert.hpp"
@@ -213,6 +217,99 @@ inline void flush_run_registry(const MetricsCollector& collected,
   registry.incr(handles.coordination_messages, report.coordination_messages);
   registry.incr(handles.trace_sampled, trace_count);
   registry.merge_histogram(handles.latency_ms, collected.latency_histogram());
+}
+
+// One window's global order, and the scratch that computes it. Reused
+// across windows, so its vectors keep their capacity.
+struct WindowOrder {
+  // The window's active positions, in (time, active position) order.
+  std::vector<std::uint32_t> order;
+  // end[a]: router a's entries in the window, a prefix of its candidates.
+  std::vector<std::size_t> end;
+  // order_window()'s scratch: the time of each entry of `order` while it
+  // is sorted, and the bucket start offsets.
+  std::vector<double> times;
+  std::vector<std::uint32_t> bucket_start;
+};
+
+// Orders the windowed engine's candidates and cuts the window from them.
+// candidates[a] holds active router a's arrival times that may enter the
+// window, ascending. Writes the first `window` candidates in (time, active
+// position) order into out.order, and each router's count among them into
+// out.end.
+//
+// One stable counting sort on n buckets spread evenly over [lo, hi], the
+// first and last candidate times, then one insertion pass. The bucket map
+// never decreases as the time grows, in floating point too, so entries of
+// distinct buckets are already in time order, and the insertion pass moves
+// an entry only within its bucket, past entries with a strictly greater
+// time. Candidates are placed router by router in active-position order,
+// so ties on one time stay in active-position order. Buckets after the
+// one that holds the window's last entry are never placed. Arrival times
+// of equal-rate Poisson streams are near-uniform over [lo, hi], so buckets
+// hold O(1) entries in expectation and the whole order costs O(n).
+inline void order_window(std::span<const std::span<const double>> candidates,
+                         std::uint64_t window, WindowOrder& out) {
+  std::size_t n = 0;
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -std::numeric_limits<double>::infinity();
+  for (const std::span<const double> times : candidates) {
+    if (times.empty()) continue;
+    n += times.size();
+    lo = std::min(lo, times.front());
+    hi = std::max(hi, times.back());
+  }
+  CCNOPT_EXPECTS(window <= n);
+  CCNOPT_EXPECTS(n < std::numeric_limits<std::uint32_t>::max());
+  out.end.assign(candidates.size(), 0);
+  out.order.clear();
+  if (window == 0) return;
+
+  // A span too narrow for a finite scale puts every entry in bucket 0.
+  double scale = hi > lo ? static_cast<double>(n) / (hi - lo) : 0.0;
+  if (!(scale < std::numeric_limits<double>::infinity())) scale = 0.0;
+  const auto bucket = [lo, scale, last = n - 1](double time) {
+    return std::min(last, static_cast<std::size_t>((time - lo) * scale));
+  };
+  std::vector<std::uint32_t>& start = out.bucket_start;
+  start.assign(n + 1, 0);
+  for (const std::span<const double> times : candidates) {
+    for (const double time : times) ++start[bucket(time) + 1];
+  }
+  for (std::size_t b = 1; b <= n; ++b) start[b] += start[b - 1];
+  // Buckets [0, cut) hold the window: bucket cut - 1 holds its last entry.
+  const std::size_t cut = static_cast<std::size_t>(
+      std::lower_bound(start.begin(), start.end(), window) - start.begin());
+  const std::size_t placed = start[cut];
+  // reserve() first sizes the buffers exactly, where resize() alone may
+  // double them.
+  out.order.reserve(placed);
+  out.order.resize(placed);
+  out.times.reserve(placed);
+  out.times.resize(placed);
+  for (std::size_t a = 0; a < candidates.size(); ++a) {
+    for (const double time : candidates[a]) {
+      const std::size_t b = bucket(time);
+      if (b >= cut) break;  // the router's later candidates are too
+      const std::uint32_t i = start[b]++;
+      out.times[i] = time;
+      out.order[i] = static_cast<std::uint32_t>(a);
+    }
+  }
+  for (std::size_t i = 1; i < placed; ++i) {
+    const double time = out.times[i];
+    const std::uint32_t position = out.order[i];
+    std::size_t j = i;
+    for (; j > 0 && out.times[j - 1] > time; --j) {
+      out.times[j] = out.times[j - 1];
+      out.order[j] = out.order[j - 1];
+    }
+    out.times[j] = time;
+    out.order[j] = position;
+  }
+
+  out.order.resize(window);
+  for (const std::uint32_t position : out.order) ++out.end[position];
 }
 
 }  // namespace ccnopt::sim::detail

@@ -3,17 +3,17 @@
 //
 //   generate  (parallel over shards)  per-router arrival times, extended
 //                                     until the window is fully covered
-//   select    (sequential, cheap)     per-router cut positions of the
-//                                     window's end (and, in traced runs,
-//                                     of its chunk boundaries), by binary
-//                                     search on the time value
-//   merge     (traced and emission-   each chunk k-way-merges its slice of
-//              order runs, parallel   the per-router sequences: traced
-//              over chunks)           router-major runs write every
-//                                     entry's global request index, which
-//                                     trace sampling keys on; emission-
-//                                     order runs write the window's active
-//                                     positions in global order
+//   order     (traced and emission-   one stable bucket sort of every
+//              order runs,            candidate below the horizon into
+//              sequential)            (time, active position) order; its
+//                                     first W entries are the window:
+//                                     emission-order runs serve them in
+//                                     that order, traced router-major runs
+//                                     write every entry's global request
+//                                     index, which trace sampling keys on
+//   select    (every other window,    per-router counts of the window's
+//              sequential)            entries, by binary search on the
+//                                     time value
 //   serve     router-major (parallel  each shard walks its routers and
 //              over shards) or in     serves each router's window segment
 //              emission order (one    in one fused loop: draw, prefetch,
@@ -35,7 +35,7 @@
 #include <iterator>
 #include <limits>
 #include <optional>
-#include <queue>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -192,22 +192,19 @@ SimReport Simulation::run_windowed(ShardExecutor& executor,
   const Clock::time_point replay_start = Clock::now();
   Clock::time_point warmup_end = replay_start;
 
-  // Cut positions: cut[p][a] = entries of gens[a].times in the window's
-  // first p chunks, chunk boundaries being the global-order positions
-  // W * p / chunks; cut[0] is all zeros and cut[chunks] ends the window.
-  // Only traced runs merge in chunks, one per shard; the rest need the
-  // end.
+  // Window buffers, reused across windows. window_order.end[a] counts
+  // router a's entries in the window, a prefix of gens[a].times; sorted
+  // windows also carry their global order there.
   const bool traced = sampler.enabled();
-  const std::size_t chunks = traced ? shard_count : 1;
-  std::vector<std::vector<std::size_t>> cut(
-      chunks + 1, std::vector<std::size_t>(active_count, 0));
-  const std::vector<std::size_t>& end = cut[chunks];
+  detail::WindowOrder window_order;
+  std::vector<std::size_t>& end = window_order.end;
+  end.assign(active_count, 0);
+  std::vector<std::span<const double>> candidates(active_count);
   // Traced router-major runs: global request index of each window entry,
-  // router a's segment starting at offset[a].
+  // router a's segment starting at offset[a] (cursor[a] fills it).
   std::vector<std::size_t> offset(active_count, 0);
+  std::vector<std::size_t> cursor(active_count, 0);
   std::vector<std::uint64_t> win_index;
-  // Emission-order runs: the active position of each window entry.
-  std::vector<std::uint32_t> order;
 
   std::uint64_t emitted = 0;
   while (emitted < total_requests) {
@@ -233,9 +230,9 @@ SimReport Simulation::run_windowed(ShardExecutor& executor,
     // routers whose frontier is at or below a target time: the horizon
     // plus each router's share of the missing entries and two more, in
     // expected arrivals. Routers ahead of the pack draw nothing, so the
-    // unconsumed vectors stay near one window in total. Selection reads
-    // only entries below the horizon, so how far generation runs ahead
-    // never changes the output.
+    // unconsumed vectors stay near one window in total. Order and select
+    // read only entries below the horizon, so how far generation runs
+    // ahead never changes the output.
     {
       const obs::ScopedSpan generate_span("sim.generate");
       std::uint64_t available = 0;
@@ -267,12 +264,37 @@ SimReport Simulation::run_windowed(ShardExecutor& executor,
       }
     }
 
-    // --- Select: per-router cut positions of each chunk boundary — the
-    // k smallest available entries under the total order (time, active
-    // position). Binary search on the time value down to adjacent
-    // doubles; any remainder is then a tie on one exact value, broken in
-    // ascending active-position order (the merge heap's tie-break).
-    {
+    // --- Order (emission-order runs, and traced runs' measured windows):
+    // sort the candidates below the horizon into the emission order,
+    // (time, active position), and take its first `window` entries. An
+    // emission-order run serves window_order.order as it stands; a
+    // router-major run writes each entry's global request index into that
+    // router's segment of win_index, which trace sampling keys on.
+    const bool sampling = traced && measured;
+    if (emission_order || sampling) {
+      const obs::ScopedSpan order_span("sim.order");
+      for (std::size_t a = 0; a < active_count; ++a) {
+        candidates[a] = {gens[a].times.data(), gens[a].avail};
+      }
+      detail::order_window(candidates, window, window_order);
+      if (sampling) {
+        std::size_t running = 0;
+        for (std::size_t a = 0; a < active_count; ++a) {
+          offset[a] = running;
+          cursor[a] = running;
+          running += end[a];
+        }
+        win_index.resize(window);
+        for (std::uint64_t i = 0; i < window; ++i) {
+          win_index[cursor[window_order.order[i]]++] = base + i;
+        }
+      }
+    } else {
+      // --- Select (every other window): each router's count of the
+      // window's entries, the `window` smallest available ones under
+      // (time, active position). Binary search on the time value down to
+      // adjacent doubles; any remainder is then a tie on one exact value,
+      // broken in ascending active-position order as the sort breaks it.
       const obs::ScopedSpan select_span("sim.select");
       const auto count_le = [&](double value) {
         std::uint64_t count = 0;
@@ -283,102 +305,40 @@ SimReport Simulation::run_windowed(ShardExecutor& executor,
         }
         return count;
       };
-      for (std::size_t p = 1; p <= chunks; ++p) {
-        const std::uint64_t k = window * p / chunks;
-        if (k == 0) {  // degenerate tiny windows
-          cut[p] = cut[0];
-          continue;
-        }
-        double lo = -1.0;
-        double hi = std::numeric_limits<double>::infinity();
-        for (const RouterGen& gen : gens) {
-          hi = std::min(hi, gen.last_time);
-        }
-        for (;;) {
-          const double mid = lo + (hi - lo) / 2.0;
-          if (!(mid > lo && mid < hi)) break;
-          const std::uint64_t count = count_le(mid);
-          if (count >= k) {
-            hi = mid;
-            if (count == k) break;
-          } else {
-            lo = mid;
-          }
-        }
-        std::uint64_t taken = 0;
-        for (std::size_t a = 0; a < active_count; ++a) {
-          const auto begin = gens[a].times.begin();
-          cut[p][a] = static_cast<std::size_t>(
-              std::upper_bound(begin, begin + gens[a].avail, lo) - begin);
-          taken += cut[p][a];
-        }
-        std::uint64_t extra = k - taken;
-        for (std::size_t a = 0; a < active_count && extra > 0; ++a) {
-          const auto begin = gens[a].times.begin();
-          const std::size_t up_hi = static_cast<std::size_t>(
-              std::upper_bound(begin, begin + gens[a].avail, hi) - begin);
-          const std::uint64_t more =
-              std::min<std::uint64_t>(extra, up_hi - cut[p][a]);
-          cut[p][a] += more;
-          extra -= more;
-        }
-        CCNOPT_ASSERT(extra == 0);
+      double lo = -1.0;
+      double hi = std::numeric_limits<double>::infinity();
+      for (const RouterGen& gen : gens) {
+        hi = std::min(hi, gen.last_time);
       }
-    }
-
-    // --- Merge (emission-order runs, and traced runs' measured windows):
-    // each chunk k-way-merges its slice of the per-router sequences. An
-    // emission-order run writes each entry's active position in global
-    // order; a router-major run writes each entry's global request index
-    // into that router's segment of win_index.
-    const bool sampling = traced && measured;
-    if (emission_order) {
-      order.resize(window);
-    } else if (sampling) {
-      std::size_t running = 0;
+      for (;;) {
+        const double mid = lo + (hi - lo) / 2.0;
+        if (!(mid > lo && mid < hi)) break;
+        const std::uint64_t count = count_le(mid);
+        if (count >= window) {
+          hi = mid;
+          if (count == window) break;
+        } else {
+          lo = mid;
+        }
+      }
+      std::uint64_t taken = 0;
       for (std::size_t a = 0; a < active_count; ++a) {
-        offset[a] = running;
-        running += end[a];
+        const auto begin = gens[a].times.begin();
+        end[a] = static_cast<std::size_t>(
+            std::upper_bound(begin, begin + gens[a].avail, lo) - begin);
+        taken += end[a];
       }
-      win_index.resize(window);
-    }
-    if (emission_order || sampling) {
-      const obs::ScopedSpan order_span("sim.order");
-      executor.run_shards(chunks, [&](std::size_t p) {
-        struct HeapEntry {
-          double time;
-          std::uint32_t a;
-        };
-        const auto later = [](const HeapEntry& x, const HeapEntry& y) {
-          if (x.time != y.time) return x.time > y.time;
-          return x.a > y.a;
-        };
-        std::priority_queue<HeapEntry, std::vector<HeapEntry>,
-                            decltype(later)>
-            heap(later);
-        std::vector<std::size_t> pos(cut[p]);
-        for (std::size_t a = 0; a < active_count; ++a) {
-          if (pos[a] < cut[p + 1][a]) {
-            heap.push(HeapEntry{gens[a].times[pos[a]],
-                                static_cast<std::uint32_t>(a)});
-          }
-        }
-        std::uint64_t out = window * p / chunks;
-        while (!heap.empty()) {
-          const HeapEntry top = heap.top();
-          heap.pop();
-          if (emission_order) {
-            order[out] = top.a;
-          } else {
-            win_index[offset[top.a] + pos[top.a]] = base + out;
-          }
-          ++out;
-          if (++pos[top.a] < cut[p + 1][top.a]) {
-            heap.push(HeapEntry{gens[top.a].times[pos[top.a]], top.a});
-          }
-        }
-        CCNOPT_ASSERT(out == window * (p + 1) / chunks);
-      });
+      std::uint64_t extra = window - taken;
+      for (std::size_t a = 0; a < active_count && extra > 0; ++a) {
+        const auto begin = gens[a].times.begin();
+        const std::size_t up_hi = static_cast<std::size_t>(
+            std::upper_bound(begin, begin + gens[a].avail, hi) - begin);
+        const std::uint64_t more =
+            std::min<std::uint64_t>(extra, up_hi - end[a]);
+        end[a] += more;
+        extra -= more;
+      }
+      CCNOPT_ASSERT(extra == 0);
     }
 
     // The per-request record body of both serve loops: the epoch recorder
@@ -423,6 +383,7 @@ SimReport Simulation::run_windowed(ShardExecutor& executor,
         // router's store and count links straight into its counters.
         ShardState& shard = shards[0];
         std::uint64_t upstream = 0;
+        const std::vector<std::uint32_t>& order = window_order.order;
         topology::NodeId router = actives[order[0]];
         cache::ContentId content = workload_->next(router);
         for (std::uint64_t i = 0; i < window; ++i) {

@@ -145,15 +145,25 @@ TEST(Simulation, StageSpansRecordEachWindow) {
   on_path.run();
   EXPECT_EQ(span_count("sim.run/sim.replay/sim.generate"), 12u);
   EXPECT_EQ(span_count("sim.run/sim.replay/sim.order"), 12u);
+  EXPECT_EQ(span_count("sim.run/sim.replay/sim.select"), 0u);
   EXPECT_EQ(span_count("sim.run/sim.replay/sim.serve"), 12u);
 
-  // Untraced router-major windows need no global order.
+  // Untraced router-major windows need no global order: they bisect.
   obs::SpanProfiler::instance().reset();
   Simulation router_major(topology::us_a(), config);
   router_major.run();
   EXPECT_EQ(span_count("sim.run/sim.replay/sim.order"), 0u);
   EXPECT_EQ(span_count("sim.run/sim.replay/sim.select"), 12u);
   EXPECT_EQ(span_count("sim.run/sim.replay/sim.serve"), 12u);
+
+  // A traced run sorts its 10 measured windows and bisects its 2 warmup
+  // windows.
+  config.trace_sample_k = 64;
+  obs::SpanProfiler::instance().reset();
+  Simulation traced(topology::us_a(), config);
+  traced.run();
+  EXPECT_EQ(span_count("sim.run/sim.replay/sim.order"), 10u);
+  EXPECT_EQ(span_count("sim.run/sim.replay/sim.select"), 2u);
 }
 
 TEST(SimulationDeath, WorkloadLargerThanCatalogRejected) {

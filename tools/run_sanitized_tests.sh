@@ -36,6 +36,7 @@ TARGETS=(
   test_strategy_properties
   test_obs_topo
   test_sim_topo
+  test_sim_window_order
   test_topology_route_table
   test_golden_digests
   test_runtime_shard_scheduler

@@ -13,7 +13,7 @@
 #include "ccnopt/common/table.hpp"
 #include "ccnopt/model/gains.hpp"
 #include "ccnopt/model/sensitivity.hpp"
-#include "ccnopt/sim/coordinator.hpp"
+#include "ccnopt/strategy/coordinator.hpp"
 #include "ccnopt/topology/datasets.hpp"
 #include "ccnopt/topology/params.hpp"
 
@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
   for (topology::NodeId id = 0; id < graph->node_count(); ++id) {
     participants[id] = id;
   }
-  const sim::Coordinator coordinator(participants);
+  const strategy::Coordinator coordinator(participants);
   const auto assignment = coordinator.assign(
       static_cast<cache::ContentId>(params.capacity_c) -
           static_cast<cache::ContentId>(x_int) + 1,

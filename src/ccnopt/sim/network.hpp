@@ -9,8 +9,8 @@
 #include "ccnopt/cache/partitioned.hpp"
 #include "ccnopt/common/random.hpp"
 #include "ccnopt/obs/topo.hpp"
-#include "ccnopt/sim/coordinator.hpp"
 #include "ccnopt/sim/metrics.hpp"
+#include "ccnopt/strategy/coordinator.hpp"
 #include "ccnopt/strategy/strategy.hpp"
 #include "ccnopt/topology/graph.hpp"
 #include "ccnopt/topology/route_table.hpp"
@@ -263,8 +263,8 @@ class CcnNetwork {
   // routers. Immutable and possibly shared with other networks on the same
   // graph; failures swap in a private table.
   std::shared_ptr<const topology::RouteTable> routes_;
-  Coordinator coordinator_;
-  Coordinator::Assignment assignment_;
+  strategy::Coordinator coordinator_;
+  strategy::Coordinator::Assignment assignment_;
   std::vector<std::unique_ptr<cache::PartitionedStore>> stores_;
   std::size_t provisioned_x_ = 0;
   std::vector<bool> failed_;

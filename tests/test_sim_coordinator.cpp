@@ -1,4 +1,4 @@
-#include "ccnopt/sim/coordinator.hpp"
+#include "ccnopt/strategy/coordinator.hpp"
 
 #include <gtest/gtest.h>
 
@@ -6,7 +6,7 @@ namespace ccnopt::sim {
 namespace {
 
 TEST(Coordinator, RoundRobinAssignment) {
-  const Coordinator coordinator({10, 20, 30});
+  const strategy::Coordinator coordinator({10, 20, 30});
   const auto assignment = coordinator.assign(/*first_rank=*/5,
                                              /*per_router_x=*/2);
   // Ranks 5..10 distributed 5->10, 6->20, 7->30, 8->10, 9->20, 10->30.
@@ -19,7 +19,7 @@ TEST(Coordinator, RoundRobinAssignment) {
 }
 
 TEST(Coordinator, EveryRouterGetsExactlyX) {
-  const Coordinator coordinator({0, 1, 2, 3, 4});
+  const strategy::Coordinator coordinator({0, 1, 2, 3, 4});
   const auto assignment = coordinator.assign(101, 7);
   for (const auto& contents : assignment.per_router) {
     EXPECT_EQ(contents.size(), 7u);
@@ -28,7 +28,7 @@ TEST(Coordinator, EveryRouterGetsExactlyX) {
 }
 
 TEST(Coordinator, ContiguousRankRangeCovered) {
-  const Coordinator coordinator({2, 7});
+  const strategy::Coordinator coordinator({2, 7});
   const auto assignment = coordinator.assign(50, 3);
   for (cache::ContentId rank = 50; rank < 56; ++rank) {
     EXPECT_TRUE(assignment.owner.count(rank) > 0) << "rank=" << rank;
@@ -39,13 +39,13 @@ TEST(Coordinator, ContiguousRankRangeCovered) {
 
 TEST(Coordinator, MessageCountIsNTimesX) {
   // Eq. 3's communication term: n * x messages per epoch.
-  const Coordinator coordinator({1, 2, 3, 4});
+  const strategy::Coordinator coordinator({1, 2, 3, 4});
   EXPECT_EQ(coordinator.assign(1, 5).messages, 20u);
   EXPECT_EQ(coordinator.assign(1, 0).messages, 0u);
 }
 
 TEST(Coordinator, ZeroXProducesEmptyAssignment) {
-  const Coordinator coordinator({1, 2});
+  const strategy::Coordinator coordinator({1, 2});
   const auto assignment = coordinator.assign(1, 0);
   EXPECT_TRUE(assignment.owner.empty());
   EXPECT_EQ(assignment.per_router.size(), 2u);
@@ -53,15 +53,15 @@ TEST(Coordinator, ZeroXProducesEmptyAssignment) {
 }
 
 TEST(Coordinator, DeterministicAcrossCalls) {
-  const Coordinator coordinator({3, 1, 2});
+  const strategy::Coordinator coordinator({3, 1, 2});
   const auto a = coordinator.assign(10, 4);
   const auto b = coordinator.assign(10, 4);
   EXPECT_EQ(a.per_router, b.per_router);
 }
 
 TEST(CoordinatorDeath, Preconditions) {
-  EXPECT_DEATH(Coordinator({}), "precondition");
-  const Coordinator coordinator({1});
+  EXPECT_DEATH(strategy::Coordinator({}), "precondition");
+  const strategy::Coordinator coordinator({1});
   EXPECT_DEATH((void)coordinator.assign(0, 1), "precondition");
 }
 

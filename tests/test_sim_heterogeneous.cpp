@@ -8,13 +8,14 @@
 #include "ccnopt/model/heterogeneous.hpp"
 #include "ccnopt/sim/network.hpp"
 #include "ccnopt/sim/workload.hpp"
+#include "ccnopt/strategy/coordinator.hpp"
 #include "ccnopt/topology/generators.hpp"
 
 namespace ccnopt::sim {
 namespace {
 
 TEST(CoordinatorWeighted, ExactQuotas) {
-  const Coordinator coordinator({10, 20, 30});
+  const strategy::Coordinator coordinator({10, 20, 30});
   const auto assignment = coordinator.assign_weighted(100, {1, 3, 2});
   EXPECT_EQ(assignment.per_router[0].size(), 1u);
   EXPECT_EQ(assignment.per_router[1].size(), 3u);
@@ -28,7 +29,7 @@ TEST(CoordinatorWeighted, ExactQuotas) {
 }
 
 TEST(CoordinatorWeighted, RoundRobinSpreadsPopularRanks) {
-  const Coordinator coordinator({0, 1});
+  const strategy::Coordinator coordinator({0, 1});
   const auto assignment = coordinator.assign_weighted(1, {2, 2});
   // Dealt alternately: router 0 gets ranks {1, 3}, router 1 gets {2, 4}.
   EXPECT_EQ(assignment.per_router[0],
@@ -38,7 +39,7 @@ TEST(CoordinatorWeighted, RoundRobinSpreadsPopularRanks) {
 }
 
 TEST(CoordinatorWeighted, ZeroQuotaRouterSkipped) {
-  const Coordinator coordinator({5, 6, 7});
+  const strategy::Coordinator coordinator({5, 6, 7});
   const auto assignment = coordinator.assign_weighted(10, {0, 3, 0});
   EXPECT_TRUE(assignment.per_router[0].empty());
   EXPECT_EQ(assignment.per_router[1].size(), 3u);
@@ -46,7 +47,7 @@ TEST(CoordinatorWeighted, ZeroQuotaRouterSkipped) {
 }
 
 TEST(CoordinatorWeighted, MatchesUniformAssignWhenEqual) {
-  const Coordinator coordinator({1, 2, 3});
+  const strategy::Coordinator coordinator({1, 2, 3});
   const auto uniform = coordinator.assign(7, 4);
   const auto weighted = coordinator.assign_weighted(7, {4, 4, 4});
   EXPECT_EQ(uniform.per_router, weighted.per_router);

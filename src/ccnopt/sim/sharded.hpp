@@ -16,34 +16,37 @@
 // each shard also generates its routers' arrival times and content draws
 // without seeing the global interleaving.
 //
-// The emission order is the k-way merge of the per-router arrival
-// sequences (each ascends) on (time, active router position), and a
-// window of the next W requests is each router's next cut[a] arrivals,
-// found by bisection on time (windows truncate at timeline-epoch and
-// warmup boundaries, which never changes the order). Each shard then
-// serves its routers' window segments router-major, recording every
-// result in the same loop: every floating-point accumulation (Welford
-// stats, timeline epoch sums, topo latency sums) lives in PER-ROUTER
-// partials, each written by exactly one shard in that router's own
-// arrival order, and folded in router-index order through a fixed-shape
-// merge tree (numerics::merge_tree) whose grouping depends only on the
-// router count. So reports, timelines, topo exports, traces and metric
-// exports are bit-identical at any shard count. Integer counters (tier
-// counts, histograms' fixed-point sums, link traversals) are exact under
-// any order. Trace sampling keys on the global request index, so traced
-// runs also k-way-merge each window, in parallel chunks, to learn every
-// request's index; untraced runs never merge. Only the per-window
-// epoch-boundary flush, the trace sort, and final export remain serial.
+// The emission order interleaves the per-router arrival sequences (each
+// ascends) on (time, active router position), and a window of the next W
+// requests is each router's next end[a] arrivals (windows truncate at
+// timeline-epoch and warmup boundaries, which never changes the order).
+// Each shard then serves its routers' window segments router-major,
+// recording every result in the same loop: every floating-point
+// accumulation (Welford stats, timeline epoch sums, topo latency sums)
+// lives in PER-ROUTER partials, each written by exactly one shard in that
+// router's own arrival order, and folded in router-index order through a
+// fixed-shape merge tree (numerics::merge_tree) whose grouping depends
+// only on the router count. So reports, timelines, topo exports, traces
+// and metric exports are bit-identical at any shard count. Integer
+// counters (tier counts, histograms' fixed-point sums, link traversals)
+// are exact under any order. An untraced window therefore needs only the
+// counts end[a], found by bisection on time. Trace sampling keys on the
+// global request index, so a traced run's measured windows are sorted
+// instead: one stable bucket sort (detail::order_window) puts every
+// candidate arrival in emission order, and its first W entries are the
+// window, each with its global index. Only the per-window order or
+// select, the epoch-boundary flush, the trace sort, and final export
+// remain serial.
 //
 // Emission order. On-path strategies mutate every store along a miss
 // path, peer-local fetch reads other routers' stores, and a coupled
 // workload's draws depend on the global interleaving, so those runs need
 // the requests one at a time in global order. They use one shard: each
-// window is merged as one chunk into the list of its requests' routers,
-// and one loop draws, prefetches, serve()s and records them in that
-// order, through the same record body as the router-major loop. The
-// network then carries the run's own topo recorder and counts links in
-// its shared counters; no shard scratch is built or folded.
+// window is sorted as above into the list of its requests' routers, and
+// one loop draws, prefetches, serve()s and records them in that order,
+// through the same record body as the router-major loop. The network
+// then carries the run's own topo recorder and counts links in its
+// shared counters; no shard scratch is built or folded.
 #pragma once
 
 #include <cstddef>
@@ -54,12 +57,11 @@
 namespace ccnopt::sim {
 
 /// Runs the bodies of one parallel region. The windowed engine issues a
-/// sequence of regions per window (generate, the merge in traced and
-/// emission-order runs, the router-major serve) and one end-of-run cache
-/// snapshot; each run_shards() call is a barrier: it returns only after
-/// every body completed, and every write a body made happens-before the
-/// caller's next statement. Implementations
-/// may run bodies concurrently (runtime::ShardScheduler) or inline.
+/// sequence of regions per window (generate, then the router-major serve)
+/// and one end-of-run cache snapshot; each run_shards() call is a barrier:
+/// it returns only after every body completed, and every write a body made
+/// happens-before the caller's next statement. Implementations may run
+/// bodies concurrently (runtime::ShardScheduler) or inline.
 class ShardExecutor {
  public:
   virtual ~ShardExecutor() = default;

@@ -344,7 +344,7 @@ std::vector<Cell> make_cells() {
   }
   {
     // Untraced on-path prob: the admission coins are drawn in serve order,
-    // and no trace merge drives that order.
+    // and no trace sampler drives that order.
     SimConfig config = base_config();
     config.network.strategy = "prob";
     config.trace_sample_k = 0;

@@ -376,6 +376,51 @@ std::vector<Cell> make_cells() {
     add("edge_us_a_traced_full_windows", "us-a", config);
   }
 
+  // Interest aggregation: joins and completions in every serve order.
+  {
+    // Emission order: the on-path walk serves one request at a time.
+    SimConfig config = base_config();
+    config.interest_aggregation = true;
+    config.network.strategy = "lcd";
+    add("edge_aggregation_lcd", "us-a", config);
+  }
+  {
+    // Untraced router-major: bisected windows.
+    SimConfig config = base_config();
+    config.interest_aggregation = true;
+    config.trace_sample_k = 0;
+    add("edge_aggregation_untraced", "us-a", config);
+  }
+  {
+    // Full windows at a high rate: fetches in flight across windows.
+    SimConfig config = base_config();
+    config.interest_aggregation = true;
+    config.timeline_epoch = 0;
+    config.warmup_requests = 10000;
+    config.measured_requests = 70000;
+    config.arrival_rate_per_router = 5.0;
+    config.network.origin_extra_ms = 50.0;
+    add("edge_aggregation_full_windows", "us-a", config);
+  }
+  {
+    // A 7-request epoch: joins tallied into epochs that windows cut short.
+    SimConfig config = base_config();
+    config.interest_aggregation = true;
+    config.timeline_epoch = 7;
+    config.warmup_requests = 1000;
+    config.measured_requests = 5003;
+    config.arrival_rate_per_router = 3.0;
+    add("edge_aggregation_epoch_7", "geant", config);
+  }
+  {
+    // Peer-local fetch, untraced: emission order without a trace.
+    SimConfig config = base_config();
+    config.interest_aggregation = true;
+    config.network.allow_peer_local_fetch = true;
+    config.trace_sample_k = 0;
+    add("edge_aggregation_peer_fetch", "cernet", config);
+  }
+
   // ReplicationRunner cells: merged traces, timeline and topo, and the
   // registry after all replications.
   const auto add_replicated = [&](std::string name, std::string topology,

@@ -1,7 +1,6 @@
-// Internals shared by Simulation's two request engines (the event loop in
-// simulation.cpp, the windowed engine in sharded.cpp): interned registry
-// handles, the timeline epoch recorder, the end-of-run registry flush, and
-// the windowed engine's per-window order.
+// Internals of Simulation's request engine (the windowed engine in
+// sharded.cpp): interned registry handles, the timeline epoch recorder, the
+// end-of-run registry flush, and the per-window order.
 // Implementation detail — not installed, not part of the sim API.
 #pragma once
 
@@ -24,7 +23,7 @@ namespace ccnopt::sim::detail {
 // outside the per-router clock indices [0, router_count).
 inline constexpr std::uint64_t kTraceSeedIndex = 0x7ace5eedULL;
 
-// Both engines pass ServeTier values to obs::TopoRecorder::on_request as
+// The engine passes ServeTier values to obs::TopoRecorder::on_request as
 // its tier codes.
 static_assert(static_cast<std::uint32_t>(ServeTier::kLocal) ==
               obs::kTopoTierLocal);
@@ -73,15 +72,15 @@ struct RunMetricHandles {
 // own CcnNetwork counters) — never from the process-global obs::metrics()
 // registry, which parallel replications share and mutate concurrently.
 //
-// The per-epoch tallies are PER-ROUTER partials: accumulate() may be
-// called concurrently for disjoint routers (the windowed engine's shards),
-// and a flush sums the partials in router-index order — the canonical
-// accumulation order. Every caller feeds each router's requests in that
-// router's own order (in emission order, or router by router), so
-// partials (and therefore rows) are bit-identical whichever serve order
-// ran. The windowed engine aligns its windows to epoch boundaries, and
-// both engines drive advance() serially, so the end-of-epoch network
-// snapshot always sees exactly the epoch's requests.
+// The per-epoch tallies are PER-ROUTER partials: accumulate() and
+// on_aggregated() may be called concurrently for disjoint routers (the
+// windowed engine's shards), and a flush sums the partials in
+// router-index order — the canonical accumulation order. Every caller
+// feeds each router's requests in that router's own order (in emission
+// order, or router by router), so partials (and therefore rows) are
+// bit-identical whichever serve order ran. The windowed engine aligns its
+// windows to epoch boundaries and drives advance() serially, so the
+// end-of-epoch network snapshot always sees exactly the epoch's requests.
 class EpochRecorder {
  public:
   EpochRecorder(obs::Timeline* timeline, const CcnNetwork* network,
@@ -104,16 +103,17 @@ class EpochRecorder {
         result.latency_ms;
   }
 
-  /// One request that joined an in-flight fetch (interest aggregation):
-  /// counted in the `requests` and `aggregated` columns at emission; its
-  /// tier/latency resolve at the completion event and are not re-binned.
-  /// Event-loop only (aggregation never runs sharded), hence serial.
-  void on_aggregated() { ++aggregated_; }
+  /// One request that joined an in-flight fetch (interest aggregation),
+  /// tallied into its first-hop router's partial: counted in the
+  /// `requests` and `aggregated` columns at emission; its tier/latency
+  /// resolve when the fetch lands and are not re-binned. Thread-safe for
+  /// DISTINCT routers, like accumulate().
+  void on_aggregated(std::size_t router) { ++slots_[router].aggregated; }
 
   /// Advances the epoch clock by `n` emitted requests and flushes a row
   /// when that lands exactly on an epoch boundary. Serial; the windowed
   /// engine keeps its windows epoch-aligned so a boundary can only be hit
-  /// at n's end (the event loop advances one request at a time).
+  /// at n's end.
   void advance(std::uint64_t n) {
     emitted_ += n;
     if (n > 0 && emitted_ % epoch_requests_ == 0) flush();
@@ -127,6 +127,7 @@ class EpochRecorder {
  private:
   struct RouterSlot {
     std::uint64_t requests = 0;
+    std::uint64_t aggregated = 0;
     std::uint64_t tier_counts[3] = {0, 0, 0};
     double latency_ms_sum = 0.0;
     double hops_sum = 0.0;
@@ -138,13 +139,15 @@ class EpochRecorder {
     const std::uint64_t traversals = network_->total_link_traversals();
     // Sum the per-router partials in router-index order — the fixed
     // grouping every engine reproduces.
-    std::uint64_t requests = aggregated_;
+    std::uint64_t requests = 0;
+    std::uint64_t aggregated = 0;
     std::uint64_t tier_counts[3] = {0, 0, 0};
     double latency_ms_sum = 0.0;
     double hops_sum = 0.0;
     double tier_latency_ms_sum[3] = {0.0, 0.0, 0.0};
     for (const RouterSlot& slot : slots_) {
       requests += slot.requests;
+      aggregated += slot.aggregated;
       latency_ms_sum += slot.latency_ms_sum;
       hops_sum += slot.hops_sum;
       for (std::size_t i = 0; i < 3; ++i) {
@@ -152,6 +155,7 @@ class EpochRecorder {
         tier_latency_ms_sum[i] += slot.tier_latency_ms_sum[i];
       }
     }
+    requests += aggregated;
     CCNOPT_ASSERT(requests == emitted_ - flushed_);
     std::vector<double> values;
     values.reserve(15);
@@ -159,7 +163,7 @@ class EpochRecorder {
     values.push_back(static_cast<double>(tier_counts[0]));
     values.push_back(static_cast<double>(tier_counts[1]));
     values.push_back(static_cast<double>(tier_counts[2]));
-    values.push_back(static_cast<double>(aggregated_));
+    values.push_back(static_cast<double>(aggregated));
     values.push_back(latency_ms_sum);
     values.push_back(hops_sum);
     values.push_back(tier_latency_ms_sum[0]);
@@ -176,7 +180,6 @@ class EpochRecorder {
     prev_insertions_ = totals.insertions;
     prev_traversals_ = traversals;
     flushed_ = emitted_;
-    aggregated_ = 0;
     for (RouterSlot& slot : slots_) slot = RouterSlot{};
   }
 
@@ -187,7 +190,6 @@ class EpochRecorder {
   std::uint64_t flushed_ = 0;  // emitted_ at the last flush
   // Current-epoch per-router tallies, cleared at every flush.
   std::vector<RouterSlot> slots_;
-  std::uint64_t aggregated_ = 0;
   // Cumulative network counters at the previous epoch boundary, for deltas.
   std::uint64_t prev_evictions_ = 0;
   std::uint64_t prev_insertions_ = 0;

@@ -20,7 +20,10 @@
 //              shard)                 serve, then record into per-router
 //                                     partial accumulators (metrics slots,
 //                                     epoch recorder slots, a topo
-//                                     recorder) and sample traces
+//                                     recorder) and sample traces; with
+//                                     interest aggregation, first land the
+//                                     router's completed fetches and join
+//                                     a fetch still in flight
 //
 // Partials fold in router-index order at flush/report time, so no global
 // order is needed to record. Windows truncate at timeline-epoch and warmup
@@ -36,6 +39,8 @@
 #include <limits>
 #include <optional>
 #include <span>
+#include <type_traits>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -77,16 +82,74 @@ struct ShardState {
   obs::TopoRecorder* tier_topo = nullptr;
   obs::TraceBuffer traces;     // whole run, router-major per window
   std::uint64_t upstream = 0;  // whole-run non-local serves (integer fold)
+  std::uint64_t aggregated = 0;  // whole-run joins (integer fold)
+};
+
+// One active router's interest aggregation state, touched only by the
+// shard that owns the router and kept across windows: its Pending Interest
+// Table, which maps each content in flight to the requests that joined its
+// fetch as (arrival time, measured), and the fetches themselves in a
+// min-heap on (completion time, issue count). A completion never touches a
+// cache, so landing a fetch only records it; landing this router's
+// completions before each of its arrivals, ties in issue order, records
+// every slot in the order of a completion-event loop.
+struct RouterPit {
+  struct Flight {
+    double done_at;
+    std::uint64_t issue;  // fetches this router issued before it
+    cache::ContentId content;
+    ServeResult result;
+    bool measured;
+  };
+  // The heap comparator: x completes after y.
+  static bool later(const Flight& x, const Flight& y) {
+    return x.done_at != y.done_at ? x.done_at > y.done_at : x.issue > y.issue;
+  }
+
+  // A non-local serve at `time` puts its fetch in flight.
+  void issue(cache::ContentId content, double time, const ServeResult& result,
+             bool measured) {
+    pending.try_emplace(content);
+    flights.push_back(
+        Flight{time + result.latency_ms, issued++, content, result, measured});
+    std::push_heap(flights.begin(), flights.end(), later);
+  }
+
+  // Lands the fetches that complete at or before `time`, in completion
+  // order: records the fetch if its initiator was measured, then its
+  // measured joiners, in join order, with their remaining flight time.
+  void land(double time, MetricsCollector& metrics, topology::NodeId router) {
+    while (!flights.empty() && flights.front().done_at <= time) {
+      std::pop_heap(flights.begin(), flights.end(), later);
+      const Flight& flight = flights.back();
+      const ServeResult& result = flight.result;
+      if (flight.measured) {
+        metrics.record(router, result.tier, result.latency_ms, result.hops);
+      }
+      const auto node = pending.extract(flight.content);
+      CCNOPT_ASSERT(!node.empty());
+      for (const auto& [joined_at, measured] : node.mapped()) {
+        if (measured) {
+          metrics.record(router, result.tier, flight.done_at - joined_at,
+                         result.hops);
+        }
+      }
+      flights.pop_back();
+    }
+  }
+
+  bool empty() const { return flights.empty() && pending.empty(); }
+
+  std::vector<Flight> flights;
+  std::unordered_map<cache::ContentId, std::vector<std::pair<double, bool>>>
+      pending;
+  std::uint64_t issued = 0;
 };
 
 }  // namespace
 
-const char* sharded_run_disqualifier(const SimConfig& config,
-                                     const Workload& workload,
+const char* sharded_run_disqualifier(const Workload& workload,
                                      const CcnNetwork& network) {
-  if (config.interest_aggregation) {
-    return "interest aggregation needs the event loop's completion events";
-  }
   if (!workload.per_router_streams()) {
     return "workload streams are globally coupled across routers";
   }
@@ -181,6 +244,7 @@ SimReport Simulation::run_windowed(ShardExecutor& executor,
   for (const topology::NodeId router : actives) {
     gens.emplace_back(derive_seed(config_.seed, router));
   }
+  std::vector<RouterPit> pits(config_.interest_aggregation ? active_count : 0);
 
   std::optional<detail::EpochRecorder> recorder;
   if (timeline_.enabled()) {
@@ -343,18 +407,30 @@ SimReport Simulation::run_windowed(ShardExecutor& executor,
 
     // The per-request record body of both serve loops: the epoch recorder
     // and upstream count for every request; the metrics slot, the tier
-    // event and the sampled trace for measured ones. Every accumulation
-    // is per-router (or an integer count), so it is safe from concurrent
-    // shards owning disjoint routers. A trace must be taken straight after
-    // the serve that produced `result` — the hop path reads the routing
-    // scratch of the request in flight.
-    const auto record = [&](ShardState& shard, std::uint64_t& upstream,
+    // event and the sampled trace for measured ones. Under aggregation a
+    // non-local serve puts its fetch in flight instead, and its metrics
+    // slot is written when it lands. Every accumulation is per-router (or
+    // an integer count), so it is safe from concurrent shards owning
+    // disjoint routers. A trace must be taken straight after the serve
+    // that produced `result` — the hop path reads the routing scratch of
+    // the request in flight.
+    const auto record = [&](auto aggregate, ShardState& shard,
+                            std::uint64_t& upstream, std::uint32_t a,
                             topology::NodeId router, cache::ContentId content,
-                            const ServeResult& result, std::uint64_t index) {
+                            const ServeResult& result, std::uint64_t index,
+                            double time) {
+      constexpr bool kAggregate = decltype(aggregate)::value;
       if (epoch != nullptr) epoch->accumulate(router, result);
-      if (result.tier != ServeTier::kLocal) ++upstream;
+      if (result.tier != ServeTier::kLocal) {
+        ++upstream;
+        if constexpr (kAggregate) {
+          pits[a].issue(content, time, result, measured);
+        }
+      }
       if (!measured) return;
-      metrics.record(router, result.tier, result.latency_ms, result.hops);
+      if (!kAggregate || result.tier == ServeTier::kLocal) {
+        metrics.record(router, result.tier, result.latency_ms, result.hops);
+      }
       if (shard.tier_topo != nullptr) {
         shard.tier_topo->on_request(static_cast<std::uint32_t>(router),
                                     static_cast<std::uint32_t>(result.tier),
@@ -373,87 +449,130 @@ SimReport Simulation::run_windowed(ShardExecutor& executor,
       }
     };
 
-    {
-      const obs::ScopedSpan serve_span("sim.serve");
-      if (emission_order) {
-        // --- Serve in emission order, one shard: draw each content in
-        // global order (a coupled workload's stream depends on it), prefetch
-        // the next request's cache state, and serve() against the shared
-        // network, whose on-path walks and peer fetches may touch any
-        // router's store and count links straight into its counters.
-        ShardState& shard = shards[0];
+    // Interest aggregation, before router a's arrival at `time`: land the
+    // router's fetches that completed by then, then join its fetch still
+    // in flight for `content`, if any. True when the request joined, and
+    // so is not served.
+    const auto join = [&](ShardState& shard, std::uint32_t a,
+                          topology::NodeId router, cache::ContentId content,
+                          double time) {
+      RouterPit& pit = pits[a];
+      pit.land(time, metrics, router);
+      const auto it = pit.pending.find(content);
+      if (it == pit.pending.end()) return false;
+      it->second.emplace_back(time, measured);
+      ++shard.aggregated;
+      if (epoch != nullptr) epoch->on_aggregated(router);
+      return true;
+    };
+
+    // --- Serve in emission order, one shard: draw each content in global
+    // order (a coupled workload's stream depends on it), prefetch the next
+    // request's cache state, and serve() against the shared network, whose
+    // on-path walks and peer fetches may touch any router's store and count
+    // links straight into its counters.
+    const auto serve_in_emission_order = [&](auto aggregate) {
+      ShardState& shard = shards[0];
+      std::uint64_t upstream = 0;
+      const std::vector<std::uint32_t>& order = window_order.order;
+      topology::NodeId router = actives[order[0]];
+      cache::ContentId content = workload_->next(router);
+      for (std::uint64_t i = 0; i < window; ++i) {
+        topology::NodeId next_router = 0;
+        cache::ContentId next_content = 0;
+        if (i + 1 < window) {
+          next_router = actives[order[i + 1]];
+          next_content = workload_->next(next_router);
+          network_->prefetch(next_router, next_content);
+        }
+        const double time = window_order.times[i];
+        if (!decltype(aggregate)::value ||
+            !join(shard, order[i], router, content, time)) {
+          const ServeResult result = network_->serve(router, content);
+          record(aggregate, shard, upstream, order[i], router, content, result,
+                 base + i, time);
+        }
+        router = next_router;
+        content = next_content;
+      }
+      shard.upstream += upstream;
+    };
+
+    // --- Serve router-major: each shard walks its routers in active order
+    // and serves each router's window segment, drawing the next request's
+    // content and prefetching its cache state one request ahead. Per-router
+    // draw and serve order equals the emission order restricted to that
+    // router, and the workload streams are per-router, so content values
+    // and cache transitions are those of the emission order bit for bit;
+    // every double accumulation is per-router, so router-major recording
+    // reproduces the canonical partials too. Tier events go to the shard's
+    // OWN topo recorder (served_for_peers may cross shards; integer
+    // counters fold exactly at absorb time).
+    const auto serve_router_major = [&](auto aggregate) {
+      executor.run_shards(shard_count, [&](std::size_t s) {
+        ShardState& shard = shards[s];
         std::uint64_t upstream = 0;
-        const std::vector<std::uint32_t>& order = window_order.order;
-        topology::NodeId router = actives[order[0]];
+        std::uint32_t a = shard.lo;
+        std::size_t j = 0;
+        while (a < shard.hi && end[a] == 0) ++a;
+        if (a == shard.hi) return;
+        topology::NodeId router = actives[a];
         cache::ContentId content = workload_->next(router);
-        for (std::uint64_t i = 0; i < window; ++i) {
+        for (;;) {
+          // The shard's next request: this router's next arrival, else the
+          // first arrival of the next router with any in this window.
+          std::uint32_t next_a = a;
+          std::size_t next_j = j + 1;
+          while (next_a < shard.hi && next_j == end[next_a]) {
+            ++next_a;
+            next_j = 0;
+          }
+          const bool more = next_a < shard.hi;
           topology::NodeId next_router = 0;
           cache::ContentId next_content = 0;
-          if (i + 1 < window) {
-            next_router = actives[order[i + 1]];
+          if (more) {
+            next_router = actives[next_a];
             next_content = workload_->next(next_router);
             network_->prefetch(next_router, next_content);
           }
-          const ServeResult result = network_->serve(router, content);
-          record(shard, upstream, router, content, result, base + i);
+          const double time = gens[a].times[j];
+          if (!decltype(aggregate)::value ||
+              !join(shard, a, router, content, time)) {
+            const ServeResult result =
+                network_->serve_sharded(router, content, shard.scratch);
+            record(aggregate, shard, upstream, a, router, content, result,
+                   sampling ? win_index[offset[a] + j] : 0, time);
+          }
+          if (!more) break;
+          a = next_a;
+          j = next_j;
           router = next_router;
           content = next_content;
         }
         shard.upstream += upstream;
-      } else {
-        // --- Serve router-major: each shard walks its routers in active
-        // order and serves each router's window segment, drawing the next
-        // request's content and prefetching its cache state one request
-        // ahead. Per-router draw and serve order equals the emission order
-        // restricted to that router, and the workload streams are per-router,
-        // so content values and cache transitions are those of the emission
-        // order bit for bit; every double accumulation is per-router, so
-        // router-major recording reproduces the canonical partials too. Tier
-        // events go to the shard's OWN topo recorder (served_for_peers may
-        // cross shards; integer counters fold exactly at absorb time).
-        executor.run_shards(shard_count, [&](std::size_t s) {
-          ShardState& shard = shards[s];
-          std::uint64_t upstream = 0;
-          std::uint32_t a = shard.lo;
-          std::size_t j = 0;
-          while (a < shard.hi && end[a] == 0) ++a;
-          if (a == shard.hi) return;
-          topology::NodeId router = actives[a];
-          cache::ContentId content = workload_->next(router);
-          for (;;) {
-            // The shard's next request: this router's next arrival, else the
-            // first arrival of the next router with any in this window.
-            std::uint32_t next_a = a;
-            std::size_t next_j = j + 1;
-            while (next_a < shard.hi && next_j == end[next_a]) {
-              ++next_a;
-              next_j = 0;
-            }
-            const bool more = next_a < shard.hi;
-            topology::NodeId next_router = 0;
-            cache::ContentId next_content = 0;
-            if (more) {
-              next_router = actives[next_a];
-              next_content = workload_->next(next_router);
-              network_->prefetch(next_router, next_content);
-            }
-            const ServeResult result =
-                network_->serve_sharded(router, content, shard.scratch);
-            record(shard, upstream, router, content, result,
-                   sampling ? win_index[offset[a] + j] : 0);
-            if (!more) break;
-            a = next_a;
-            j = next_j;
-            router = next_router;
-            content = next_content;
-          }
-          shard.upstream += upstream;
-        });
-        // Fold the shard link counters before the epoch recorder's boundary
-        // snapshot reads them; only that flush stays serial.
-        for (ShardState& shard : shards) {
-          network_->fold_shard_scratch(shard.scratch);
+      });
+      // Fold the shard link counters before the epoch recorder's boundary
+      // snapshot reads them; only that flush stays serial.
+      for (ShardState& shard : shards) {
+        network_->fold_shard_scratch(shard.scratch);
+      }
+    };
+
+    {
+      const obs::ScopedSpan serve_span("sim.serve");
+      // Each serve loop is instantiated with and without aggregation, and
+      // chosen once per window, so a run without it pays nothing for it.
+      const auto dispatch = [&](const auto& serve) {
+        if (config_.interest_aggregation) {
+          serve(std::true_type{});
+        } else {
+          serve(std::false_type{});
         }
+      };
+      if (emission_order) {
+        dispatch(serve_in_emission_order);
+      } else {
+        dispatch(serve_router_major);
       }
       if (recorder) recorder->advance(window);
     }
@@ -467,9 +586,19 @@ SimReport Simulation::run_windowed(ShardExecutor& executor,
     }
   }
   CCNOPT_ENSURES(emitted == total_requests);
+  // Interest aggregation: land every fetch still in flight.
+  for (std::size_t a = 0; a < pits.size(); ++a) {
+    pits[a].land(std::numeric_limits<double>::infinity(), metrics, actives[a]);
+  }
+  CCNOPT_ENSURES(std::all_of(pits.begin(), pits.end(),
+                             [](const RouterPit& pit) { return pit.empty(); }));
   if (recorder) recorder->finish();
   std::uint64_t upstream = 0;
-  for (const ShardState& shard : shards) upstream += shard.upstream;
+  std::uint64_t aggregated = 0;
+  for (const ShardState& shard : shards) {
+    upstream += shard.upstream;
+    aggregated += shard.aggregated;
+  }
 
   // Fold the per-shard tier/placement recorders (integer counters sum
   // exactly under any grouping; the double latency sums are per-router
@@ -520,9 +649,10 @@ SimReport Simulation::run_windowed(ShardExecutor& executor,
       std::chrono::duration<double>(Clock::now() - warmup_end).count();
 
   SimReport report = make_report(metrics);
-  report.aggregated_requests = 0;
+  report.aggregated_requests = aggregated;
   report.upstream_fetches = upstream;
-  detail::flush_run_registry(metrics, report, 0, upstream, trace_.size());
+  detail::flush_run_registry(metrics, report, aggregated, upstream,
+                             trace_.size());
   return report;
 }
 

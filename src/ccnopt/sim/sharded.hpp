@@ -1,8 +1,7 @@
-// Windowed request engine: every simulation run without interest
-// aggregation. A run that sharded_run_disqualifier() admits is partitioned
-// by first-hop router across worker shards; any other run is served on
-// one shard in emission order. Outputs are bit-identical at any shard
-// count, one included.
+// Windowed request engine: every simulation run. A run that
+// sharded_run_disqualifier() admits is partitioned by first-hop router
+// across worker shards; any other run is served on one shard in emission
+// order. Outputs are bit-identical at any shard count, one included.
 //
 // Why router partitioning is exact (not approximate): under owner-table
 // forwarding without peer-local fetch, serving a request at router r
@@ -47,6 +46,17 @@
 // through the same record body as the router-major loop. The network
 // then carries the run's own topo recorder and counts links in its
 // shared counters; no shard scratch is built or folded.
+//
+// Interest aggregation. A router's Pending Interest Table is keyed by
+// (router, content), and a completing fetch never touches a cache, so
+// aggregated runs shard and order exactly like any other. Each router's
+// fetches in flight wait in a min-heap on (completion time, issue count)
+// that persists across windows; before each arrival of the router, the
+// fetches completed by its time land (and record) in heap order, and the
+// arrival then joins the router's fetch for its content, if one is still
+// in flight. That is each router's record order in a completion-event
+// loop, and metrics slots are per router. Every router drains at the end
+// of the run.
 #pragma once
 
 #include <cstddef>
@@ -82,17 +92,15 @@ class SerialShardExecutor final : public ShardExecutor {
 };
 
 /// Why the run cannot be served router-major, or nullptr when it can. A
-/// run qualifies with no interest aggregation (completion events need the
-/// event loop), per-router workload streams (the shards draw without
-/// seeing the global interleaving), and owner-table forwarding without
-/// peer-local fetch (the router-exclusive mutation argument above),
-/// whatever its shard count. Interest aggregation runs take the event
-/// loop; every other non-qualifying run is served on one shard in
-/// emission order — same outputs, by the bit-identity contract — and
-/// Simulation::run() logs the returned reason when more than one shard
-/// was requested, so it can never masquerade as a sharded measurement.
-const char* sharded_run_disqualifier(const SimConfig& config,
-                                     const Workload& workload,
+/// run qualifies with per-router workload streams (the shards draw
+/// without seeing the global interleaving) and owner-table forwarding
+/// without peer-local fetch (the router-exclusive mutation argument
+/// above), whatever its shard count or interest aggregation. A
+/// non-qualifying run is served on one shard in emission order — same
+/// outputs, by the bit-identity contract — and Simulation::run() logs the
+/// returned reason when more than one shard was requested, so it can
+/// never masquerade as a sharded measurement.
+const char* sharded_run_disqualifier(const Workload& workload,
                                      const CcnNetwork& network);
 
 }  // namespace ccnopt::sim

@@ -1,17 +1,16 @@
-// Ties workload, network, metrics and the event queue into one run:
-// Poisson request arrivals per router, a warmup phase (cache convergence),
-// then a measured phase whose metrics form the SimReport.
+// Ties workload, network and metrics into one run of the windowed request
+// engine (sharded.hpp): Poisson request arrivals per router, a warmup phase
+// (cache convergence), then a measured phase whose metrics form the
+// SimReport.
 #pragma once
 
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "ccnopt/obs/timeline.hpp"
 #include "ccnopt/obs/topo.hpp"
 #include "ccnopt/obs/trace.hpp"
-#include "ccnopt/sim/event.hpp"
 #include "ccnopt/sim/network.hpp"
 #include "ccnopt/sim/workload.hpp"
 
@@ -43,7 +42,7 @@ struct SimConfig {
   /// rejection-inversion sampler at web-scale catalogs.
   popularity::SamplerKind sampler_kind = popularity::SamplerKind::kAuto;
   /// Shards of the windowed request engine (at least 1), which serves
-  /// every run without interest aggregation. A run that qualifies (see
+  /// every run, interest aggregation included. A run that qualifies (see
   /// sharded_run_disqualifier in sharded.hpp) has its request stream
   /// partitioned by first-hop router across this many shards, each
   /// serving its routers' window segments router-major against the one
@@ -115,17 +114,11 @@ class Simulation {
   };
   PhaseSeconds last_phase_seconds() const { return phase_seconds_; }
 
-  /// Always 0: every engine records each request inside its serve loop,
-  /// so there is no separate record pass to clock. Kept because
+  /// Always 0: the engine records each request inside its serve loop, so
+  /// there is no separate record pass to clock. Kept because
   /// benchmarks read it and estimate record time per request instead
   /// when it is 0.
   double last_record_seconds() const { return 0.0; }
-
-  /// The engine that served the last run(): "event_loop" (interest
-  /// aggregation) or "windowed" (sharded.cpp: router-major shards, or one
-  /// shard in emission order for the runs sharded_run_disqualifier
-  /// rejects). Empty before the first run().
-  std::string_view last_engine() const { return last_engine_; }
 
   const CcnNetwork& network() const { return *network_; }
   CcnNetwork& network() { return *network_; }
@@ -144,10 +137,9 @@ class Simulation {
   const obs::TopoRecorder& topo() const { return topo_; }
 
  private:
-  /// The windowed request engine (sharded.cpp), which run() takes for
-  /// every run without interest aggregation; `emission_order` serves on
-  /// one shard in the global order (runs sharded_run_disqualifier
-  /// rejects).
+  /// The windowed request engine (sharded.cpp), which serves every run;
+  /// `emission_order` serves on one shard in the global order (runs
+  /// sharded_run_disqualifier rejects).
   SimReport run_windowed(ShardExecutor& executor, bool emission_order);
 
   SimConfig config_;
@@ -155,7 +147,6 @@ class Simulation {
   std::unique_ptr<Workload> workload_;
   ShardExecutor* shard_executor_ = nullptr;
   PhaseSeconds phase_seconds_;
-  std::string_view last_engine_;
   obs::TraceBuffer trace_;
   obs::Timeline timeline_;
   obs::TopoRecorder topo_;

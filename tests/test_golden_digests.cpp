@@ -10,10 +10,11 @@
 // shards = 1, shards = S on a SerialShardExecutor, and shards = S on a
 // pooled runtime::ShardScheduler (S = 4 unless the cell says otherwise).
 // Cells that qualify are served router-major at every S, one included;
-// the rest are served on one shard in emission order at every S, or by the
-// event loop under interest aggregation, and must reproduce the same
-// bytes. Replication cells run through runtime::ReplicationRunner on 1 and
-// on 8 threads.
+// the rest are served on one shard in emission order at every S, and must
+// reproduce the same bytes. Interest aggregation cells take either path,
+// with each router's fetches in flight carried across windows.
+// Replication cells run through runtime::ReplicationRunner on 1 and on 8
+// threads.
 //
 // On a mismatch the failure prints the cell name and its new line in the
 // data file's format. An intentional output change is therefore a
@@ -583,9 +584,9 @@ TEST(GoldenDigestFile, ListsEveryCellExactlyOnce) {
   EXPECT_EQ(seen.size(), known.size());
 }
 
-// Engine-contract tests that compare no two outputs: which engine and
-// index a run selects, the sharded-engine support predicate, and the run
-// clocks.
+// Engine-contract tests that compare no two outputs: how many shards and
+// which index a run selects, the sharded-engine support predicate, and the
+// run clocks.
 
 TEST(SimIndexDeterminism, SparseIndexActiveWhereExpected) {
   // kAuto keeps dense at this catalog (50000 < the auto floor); forcing
@@ -611,46 +612,39 @@ TEST(SimIndexDeterminism, SparseIndexActiveWhereExpected) {
   }
 }
 
-TEST(ShardDeterminismEdges, EngineDispatchFollowsTheDisqualifier) {
-  // Every run without interest aggregation takes the windowed engine, at
-  // shards = 1 too: router-major when it qualifies, on one shard in
-  // emission order when it does not (on-path LCD, peer-local fetch, a
-  // coupled workload). Interest aggregation takes the event loop.
+/// Runs the bodies serially and remembers the widest region it ran.
+class CountingShardExecutor final : public ShardExecutor {
+ public:
+  void run_shards(std::size_t count,
+                  const std::function<void(std::size_t)>& body) override {
+    widest = std::max(widest, count);
+    for (std::size_t shard = 0; shard < count; ++shard) body(shard);
+  }
+  std::size_t widest = 0;
+};
+
+TEST(ShardDeterminismEdges, ShardCountFollowsTheDisqualifier) {
+  // A qualifying run serves on every requested shard, interest aggregation
+  // included; on-path LCD or a coupled workload falls back to one shard in
+  // emission order, with or without aggregation.
+  const auto widest_region = [](const SimConfig& config, bool coupled) {
+    CountingShardExecutor executor;
+    Simulation sim(topology::us_a(), config);
+    if (coupled) sim.set_workload(std::make_unique<SharedStreamWorkload>());
+    sim.set_shard_executor(&executor);
+    const SimReport report = sim.run();
+    EXPECT_EQ(report.aggregated_requests > 0, config.interest_aggregation);
+    return executor.widest;
+  };
   SimConfig config = base_config();
-  config.shards = 1;
-  {
-    Simulation sim(topology::cernet(), config);
-    EXPECT_EQ(sim.last_engine(), "");
-    sim.run();
-    EXPECT_EQ(sim.last_engine(), "windowed");
-  }
-  {
-    SimConfig lcd = config;
-    lcd.network.strategy = "lcd";
-    Simulation sim(topology::cernet(), lcd);
-    sim.run();
-    EXPECT_EQ(sim.last_engine(), "windowed");
-  }
-  {
-    SimConfig peer_fetch = config;
-    peer_fetch.network.allow_peer_local_fetch = true;
-    Simulation sim(topology::cernet(), peer_fetch);
-    sim.run();
-    EXPECT_EQ(sim.last_engine(), "windowed");
-  }
-  {
-    Simulation sim(topology::cernet(), config);
-    sim.set_workload(std::make_unique<SharedStreamWorkload>());
-    sim.run();
-    EXPECT_EQ(sim.last_engine(), "windowed");
-  }
-  {
-    SimConfig aggregated = config;
-    aggregated.interest_aggregation = true;
-    Simulation sim(topology::cernet(), aggregated);
-    sim.run();
-    EXPECT_EQ(sim.last_engine(), "event_loop");
-  }
+  config.shards = 4;
+  EXPECT_EQ(widest_region(config, false), 4u);
+  EXPECT_EQ(widest_region(config, true), 1u);
+  config.interest_aggregation = true;
+  EXPECT_EQ(widest_region(config, false), 4u);
+  EXPECT_EQ(widest_region(config, true), 1u);
+  config.network.strategy = "lcd";
+  EXPECT_EQ(widest_region(config, false), 1u);
 }
 
 TEST(ShardDeterminismDeathTest, ZeroShardsIsRejected) {
@@ -665,28 +659,22 @@ TEST(ShardDeterminismFallback, SupportPredicateMatchesContract) {
   config.shards = 8;
   Simulation sim(topology::us_a(), config);
   const ZipfWorkload zipf(20, 2000, 0.8, 1);
-  EXPECT_EQ(sharded_run_disqualifier(config, zipf, sim.network()), nullptr);
-
-  SimConfig one = config;
-  one.shards = 1;
-  EXPECT_EQ(sharded_run_disqualifier(one, zipf, sim.network()), nullptr);
+  EXPECT_EQ(sharded_run_disqualifier(zipf, sim.network()), nullptr);
 
   SimConfig aggregated = config;
   aggregated.interest_aggregation = true;
-  EXPECT_NE(sharded_run_disqualifier(aggregated, zipf, sim.network()),
-            nullptr);
+  Simulation aggregated_sim(topology::us_a(), aggregated);
+  EXPECT_EQ(sharded_run_disqualifier(zipf, aggregated_sim.network()), nullptr);
 
   SimConfig peer_fetch = config;
   peer_fetch.network.allow_peer_local_fetch = true;
   Simulation peer_sim(topology::us_a(), peer_fetch);
-  EXPECT_NE(sharded_run_disqualifier(peer_fetch, zipf, peer_sim.network()),
-            nullptr);
+  EXPECT_NE(sharded_run_disqualifier(zipf, peer_sim.network()), nullptr);
 
   SimConfig on_path = config;
   on_path.network.strategy = "lce";
   Simulation on_path_sim(topology::us_a(), on_path);
-  EXPECT_NE(sharded_run_disqualifier(on_path, zipf, on_path_sim.network()),
-            nullptr);
+  EXPECT_NE(sharded_run_disqualifier(zipf, on_path_sim.network()), nullptr);
 }
 
 TEST(ShardDeterminismFallback, UnsupportedReasonNamesTheDisqualifier) {
@@ -697,32 +685,24 @@ TEST(ShardDeterminismFallback, UnsupportedReasonNamesTheDisqualifier) {
   Simulation sim(topology::us_a(), config);
   const ZipfWorkload zipf(20, 2000, 0.8, 1);
 
-  SimConfig aggregated = config;
-  aggregated.interest_aggregation = true;
-  EXPECT_STREQ(
-      sharded_run_disqualifier(aggregated, zipf, sim.network()),
-      "interest aggregation needs the event loop's completion events");
-
   struct CoupledWorkload final : Workload {
     cache::ContentId next(std::size_t) override { return 1; }
     std::uint64_t catalog_size() const override { return 1; }
   } coupled;
-  EXPECT_STREQ(sharded_run_disqualifier(config, coupled, sim.network()),
+  EXPECT_STREQ(sharded_run_disqualifier(coupled, sim.network()),
                "workload streams are globally coupled across routers");
 
   SimConfig on_path = config;
   on_path.network.strategy = "lce";
   Simulation on_path_sim(topology::us_a(), on_path);
-  EXPECT_STREQ(
-      sharded_run_disqualifier(on_path, zipf, on_path_sim.network()),
-      "on-path forwarding strategy mutates caches along the path");
+  EXPECT_STREQ(sharded_run_disqualifier(zipf, on_path_sim.network()),
+               "on-path forwarding strategy mutates caches along the path");
 
   SimConfig peer_fetch = config;
   peer_fetch.network.allow_peer_local_fetch = true;
   Simulation peer_sim(topology::us_a(), peer_fetch);
-  EXPECT_STREQ(
-      sharded_run_disqualifier(peer_fetch, zipf, peer_sim.network()),
-      "peer-local fetch couples router stores");
+  EXPECT_STREQ(sharded_run_disqualifier(zipf, peer_sim.network()),
+               "peer-local fetch couples router stores");
 }
 
 TEST(ShardDeterminismPhases, PhaseClockCoversBothPhases) {
@@ -736,7 +716,7 @@ TEST(ShardDeterminismPhases, PhaseClockCoversBothPhases) {
 }
 
 TEST(RecordPassTiming, RecordSecondsAreZeroOnEveryEngine) {
-  // Every engine records inside its serve loop, so there is no record pass
+  // The engine records inside its serve loop, so there is no record pass
   // to clock; benchmarks estimate record time per request when this is 0.
   SimConfig config = base_config();
   for (const std::size_t shards : {std::size_t{1}, std::size_t{8}}) {

@@ -34,9 +34,8 @@ cache::ContentId ZipfWorkload::next(std::size_t router_index) {
   // Refill in blocks: sample_block() consumes the stream exactly as
   // kDrawBlock successive sample() calls would, and the refill boundary is
   // a pure function of this router's call count — so every serve order
-  // (the event loop's, emission order, router-major shards) sees the
-  // identical per-router sequence while paying the virtual sampler
-  // dispatch once per block.
+  // (emission order, router-major shards) sees the identical per-router
+  // sequence while paying the virtual sampler dispatch once per block.
   DrawBuffer& buf = buffers_[router_index];
   if (buf.pos == buf.filled) {
     if (buf.draws.empty()) buf.draws.resize(kDrawBlock);

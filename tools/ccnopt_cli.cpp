@@ -22,8 +22,8 @@
 // --shards=1 runs on one thread. Outputs are bit-identical to --shards=1
 // for any S. Configurations the windowed engine cannot shard exactly
 // (on-path strategies, peer-local fetch, globally coupled workloads) are
-// served on one shard in emission order, interest aggregation by the event
-// loop; when S > 1 the run logs the disqualifying reason.
+// served on one shard in emission order; when S > 1 the run logs the
+// disqualifying reason.
 //
 // Observability (any subcommand):
 //   --metrics-out=path   deterministic metrics registry snapshot (.csv → CSV,

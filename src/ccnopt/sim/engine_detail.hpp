@@ -138,7 +138,7 @@ class EpochRecorder {
     const CcnNetwork::CacheTotals totals = network_->cache_totals();
     const std::uint64_t traversals = network_->total_link_traversals();
     // Sum the per-router partials in router-index order — the fixed
-    // grouping every engine reproduces.
+    // grouping every serve order reproduces.
     std::uint64_t requests = 0;
     std::uint64_t aggregated = 0;
     std::uint64_t tier_counts[3] = {0, 0, 0};
@@ -146,7 +146,7 @@ class EpochRecorder {
     double hops_sum = 0.0;
     double tier_latency_ms_sum[3] = {0.0, 0.0, 0.0};
     for (const RouterSlot& slot : slots_) {
-      requests += slot.requests;
+      requests += slot.requests + slot.aggregated;
       aggregated += slot.aggregated;
       latency_ms_sum += slot.latency_ms_sum;
       hops_sum += slot.hops_sum;
@@ -155,7 +155,6 @@ class EpochRecorder {
         tier_latency_ms_sum[i] += slot.tier_latency_ms_sum[i];
       }
     }
-    requests += aggregated;
     CCNOPT_ASSERT(requests == emitted_ - flushed_);
     std::vector<double> values;
     values.reserve(15);

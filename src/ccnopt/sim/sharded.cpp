@@ -96,14 +96,14 @@ struct ShardState {
 struct RouterPit {
   struct Flight {
     double done_at;
-    std::uint64_t issue;  // fetches this router issued before it
+    std::uint64_t seq;  // fetches this router issued before it
     cache::ContentId content;
     ServeResult result;
     bool measured;
   };
   // The heap comparator: x completes after y.
   static bool later(const Flight& x, const Flight& y) {
-    return x.done_at != y.done_at ? x.done_at > y.done_at : x.issue > y.issue;
+    return x.done_at != y.done_at ? x.done_at > y.done_at : x.seq > y.seq;
   }
 
   // A non-local serve at `time` puts its fetch in flight.

@@ -423,7 +423,7 @@ ServeResult CcnNetwork::serve_owner_table(
 ServeResult CcnNetwork::origin_result(topology::NodeId first_hop,
                                       cache::ContentId content) const {
   // The gateway must remain reachable from every alive router.
-  const NetworkConfig::OriginSpec& origin = origins_[content % origins_.size()];
+  const NetworkConfig::OriginSpec& origin = origin_of(content);
   const topology::Route& path = routes_->route(first_hop, origin.gateway);
   CCNOPT_ASSERT(path.latency_ms < topology::kUnreachable);
   return ServeResult{
@@ -468,18 +468,20 @@ void CcnNetwork::fold_shard_scratch(ShardScratch& scratch) {
 
 ServeResult CcnNetwork::serve_on_path(topology::NodeId first_hop,
                                       cache::ContentId content) {
-  const topology::NodeId gateway =
-      origins_[content % origins_.size()].gateway;
+  const NetworkConfig::OriginSpec& origin = origin_of(content);
   // Latencies come from the gateway's row, as the walk does: a path's two
   // directions can round differently.
-  const std::span<const topology::Route> from_gateway = routes_->row(gateway);
+  const std::span<const topology::Route> from_gateway =
+      routes_->row(origin.gateway);
   const double first_hop_ms = from_gateway[first_hop].latency_ms;
   CCNOPT_ASSERT(first_hop_ms < topology::kUnreachable);
 
   // Walk first_hop -> gateway along the gateway-rooted shortest-path tree,
-  // consulting each en-route store; misses are recorded so the insertion
-  // rule can seed copies afterwards. contains() keeps the probes
-  // non-mutating — only the hit node and the rule's chosen nodes admit.
+  // consulting each en-route store and counting each link as the walk
+  // crosses it; misses are recorded so the insertion rule can seed copies
+  // afterwards. contains() keeps the probes non-mutating — only the hit
+  // node and the rule's chosen nodes admit.
+  const bool track = config_.track_link_load;
   miss_path_.clear();
   topology::NodeId node = first_hop;
   while (true) {
@@ -492,7 +494,6 @@ ServeResult CcnNetwork::serve_on_path(topology::NodeId first_hop,
                              0, node, store.coordinated_contains(content)};
       } else {
         const double path_ms = first_hop_ms - from_gateway[node].latency_ms;
-        record_path(first_hop, node, link_counts_, total_traversals_);
         result = ServeResult{
             ServeTier::kNetwork, config_.access_latency_d0_ms + path_ms,
             static_cast<std::uint32_t>(miss_path_.size()), node, false};
@@ -501,14 +502,22 @@ ServeResult CcnNetwork::serve_on_path(topology::NodeId first_hop,
       return result;
     }
     miss_path_.push_back(node);
-    if (node == gateway) break;
-    node = routes_->across(from_gateway[node].parent_link, node);
+    if (node == origin.gateway) break;
+    const std::uint32_t link = from_gateway[node].parent_link;
+    if (track) {
+      ++link_counts_[link];
+      ++total_traversals_;
+    }
+    node = routes_->across(link, node);
   }
 
   // Every en-route store missed: the origin serves, and the whole walked
   // path (first hop through gateway) is the miss path.
-  ServeResult result = origin_result(first_hop, content);
-  record_path(first_hop, gateway, link_counts_, total_traversals_);
+  ServeResult result{
+      ServeTier::kOrigin,
+      config_.access_latency_d0_ms + first_hop_ms + origin.extra_ms,
+      static_cast<std::uint32_t>(miss_path_.size() - 1) + origin.extra_hops,
+      origin.gateway, false};
   result.placement_depth = apply_insertion_rule(content);
   return result;
 }
@@ -580,31 +589,35 @@ std::int32_t CcnNetwork::apply_insertion_rule(cache::ContentId content) {
 }
 
 std::vector<topology::NodeId> CcnNetwork::hop_path(
-    topology::NodeId first_hop, const ServeResult& result) const {
+    topology::NodeId first_hop, cache::ContentId content,
+    const ServeResult& result) const {
   CCNOPT_EXPECTS(first_hop < graph_.node_count());
   std::vector<topology::NodeId> path;
   if (result.tier == ServeTier::kLocal) {
     path.push_back(first_hop);
-    return path;
-  }
-  if (data_plane_.forwarding == strategy::ForwardingMode::kOnPath) {
+  } else if (data_plane_.forwarding == strategy::ForwardingMode::kOnPath) {
     // The scratch miss path of the preceding serve() is the walked prefix;
     // a network-tier hit stopped one node past it, an origin-tier result
     // walked through the gateway (= miss_path_.back()).
     path = miss_path_;
     if (result.tier == ServeTier::kNetwork) path.push_back(result.served_by);
     CCNOPT_ASSERT(!path.empty() && path.front() == first_hop);
-    return path;
+  } else {
+    // Walk first_hop's tree from the serving router back: the path
+    // record_path() counts link loads on ({first_hop} when the origin
+    // hangs off the requester's own gateway).
+    for (topology::NodeId v = result.served_by; v != first_hop;
+         v = routes_->parent(first_hop, v)) {
+      path.push_back(v);
+    }
+    path.push_back(first_hop);
+    std::reverse(path.begin(), path.end());
   }
-  // Walk first_hop's tree from the serving router back: the path
-  // record_path() counts link loads on ({first_hop} when the origin hangs
-  // off the requester's own gateway).
-  for (topology::NodeId v = result.served_by; v != first_hop;
-       v = routes_->parent(first_hop, v)) {
-    path.push_back(v);
-  }
-  path.push_back(first_hop);
-  std::reverse(path.begin(), path.end());
+  // One path per request: its hops are the edges walked, plus the
+  // origin's own hops past the gateway.
+  const std::uint32_t extra_hops =
+      result.tier == ServeTier::kOrigin ? origin_of(content).extra_hops : 0;
+  CCNOPT_ASSERT(path.size() - 1 == result.hops - extra_hops);
   return path;
 }
 

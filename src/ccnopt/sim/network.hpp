@@ -74,6 +74,8 @@ struct NetworkConfig {
 struct ServeResult {
   ServeTier tier = ServeTier::kLocal;
   double latency_ms = 0.0;
+  /// Edges of the path walked to the serving router (on one Dijkstra
+  /// tree), plus the origin's extra hops for origin-tier results.
   std::uint32_t hops = 0;
   topology::NodeId served_by = 0;
   /// True when the hit came from the router's own coordinated partition —
@@ -245,12 +247,15 @@ class CcnNetwork {
   void set_record_placement_depth(bool on) { record_depths_ = on; }
 
   /// Reconstructs the router-id delivery path of the result that the
-  /// immediately preceding serve() returned: {first_hop} for local hits,
-  /// first hop through the serving router otherwise (through the origin
-  /// gateway for origin-tier results — the origin itself is not a router).
-  /// Must be called before the next serve() (on-path forwarding reuses the
+  /// immediately preceding serve(first_hop, content) returned: {first_hop}
+  /// for local hits, first hop through the serving router otherwise
+  /// (through the origin gateway for origin-tier results — the origin
+  /// itself is not a router). Asserts that result.hops counts the path's
+  /// edges, plus the origin's extra hops for origin-tier results. Must be
+  /// called before the next serve() (on-path forwarding reuses the
   /// internal miss-path scratch). Deterministic: pure in the routing state.
   std::vector<topology::NodeId> hop_path(topology::NodeId first_hop,
+                                         cache::ContentId content,
                                          const ServeResult& result) const;
 
  private:
@@ -291,6 +296,9 @@ class CcnNetwork {
   obs::TopoRecorder* topo_ = nullptr;
   bool record_depths_ = false;
 
+  const NetworkConfig::OriginSpec& origin_of(cache::ContentId content) const {
+    return origins_[content % origins_.size()];
+  }
   topology::NodeId owner_of(cache::ContentId content) const {
     // Unsigned wrap makes ranks below the interval fail the bound too.
     const cache::ContentId offset = content - owner_first_rank_;
@@ -325,8 +333,9 @@ class CcnNetwork {
                                 obs::TopoRecorder* topo);
 
   /// serve() body for kOnPath forwarding: walk the shortest path toward the
-  /// content's origin gateway checking each en-route store, then seed
-  /// copies along the recorded miss path per the insertion rule.
+  /// content's origin gateway checking each en-route store and counting
+  /// the link loads it crosses, then seed copies along the recorded miss
+  /// path per the insertion rule.
   ServeResult serve_on_path(topology::NodeId first_hop,
                             cache::ContentId content);
   /// Seeds copies along miss_path_ per the insertion rule; returns the

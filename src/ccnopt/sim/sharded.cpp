@@ -443,7 +443,7 @@ SimReport Simulation::run_windowed(ShardExecutor& executor,
             to_string(result.tier), result.hops,
             static_cast<std::uint32_t>(result.served_by), {}, -1,
             result.latency_ms};
-        event.path = network_->hop_path(router, result);
+        event.path = network_->hop_path(router, content, result);
         event.placement_depth = result.placement_depth;
         shard.traces.push_back(std::move(event));
       }

@@ -10,6 +10,8 @@ TopologyParameters derive_parameters(const Graph& g) {
   CCNOPT_EXPECTS(g.node_count() >= 2);
   CCNOPT_EXPECTS(g.is_connected());
 
+  // Latencies from the route table; hops are Table III's minimum hop
+  // counts, one BFS per source.
   const AllPairs table = all_pairs(g);
   const std::size_t n = g.node_count();
 
@@ -22,10 +24,11 @@ TopologyParameters derive_parameters(const Graph& g) {
   double sum_latency = 0.0;
   double sum_hops = 0.0;
   std::uint32_t max_hops = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
+  for (NodeId i = 0; i < n; ++i) {
+    const std::vector<std::uint32_t> hops = bfs_hops(g, i);
+    for (NodeId j = 0; j < n; ++j) {
       const double d = table.latency_ms(i, j);
-      const std::uint32_t h = table.hops(i, j);
+      const std::uint32_t h = hops[j];
       CCNOPT_ASSERT(d < kUnreachable);
       max_latency = std::max(max_latency, d);
       sum_latency += d;

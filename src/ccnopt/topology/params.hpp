@@ -5,9 +5,10 @@
 //                shortest-path latency; coordination messages run in
 //                parallel, so the slowest pair gates convergence)
 //   d1 - d0    — mean shortest-path separation between routers, in both
-//                milliseconds (1/|V|^2 * sum d_ij) and hops
-//                (1/|V|^2 * sum h_ij); the |V|^2 denominator includes the
-//                zero i = j terms, matching the paper's formula.
+//                milliseconds (1/|V|^2 * sum d_ij) and minimum hops
+//                (1/|V|^2 * sum h_ij, h_ij by BFS); the |V|^2 denominator
+//                includes the zero i = j terms, matching the paper's
+//                formula.
 #pragma once
 
 #include "ccnopt/topology/graph.hpp"
@@ -22,7 +23,7 @@ struct TopologyParameters {
   double unit_cost_w_ms = 0.0;       // max pairwise latency
   double mean_latency_ms = 0.0;      // (d1 - d0) in milliseconds
   double mean_hops = 0.0;            // (d1 - d0) in hops
-  double diameter_hops = 0.0;        // max pairwise hop count
+  double diameter_hops = 0.0;        // max pairwise minimum hop count
 };
 
 /// Derives the Table III row for `g`. Precondition: g is connected and has

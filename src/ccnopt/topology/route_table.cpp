@@ -1,7 +1,6 @@
 #include "ccnopt/topology/route_table.hpp"
 
 #include <algorithm>
-#include <bit>
 
 namespace ccnopt::topology {
 namespace {
@@ -33,21 +32,21 @@ Csr surviving_adjacency(const Graph& g, const std::vector<bool>& blocked) {
   return csr;
 }
 
-/// Fills the rows of one source block into scratch reused across blocks:
-/// one Dijkstra per source, then one BFS per source, the block's sources
-/// run together as bit lanes of 64-bit words.
+/// Fills rows with Dijkstra into scratch reused across a block's sources.
 class BlockBuilder {
  public:
   BlockBuilder(const Csr& csr, std::size_t n)
-      : csr_(csr), dist_(n), pos_(n, kOutside), lanes_(n), seen_(n),
-        next_lanes_(n) {}
+      : csr_(csr), dist_(n), pos_(n, kOutside) {}
 
   /// Dijkstra on an indexed 4-ary min-heap keyed on (distance, node): it
   /// settles nodes in the same order as dijkstra_filtered's lazy heap, and
-  /// relaxation is strict in both, so latencies and parents match it.
-  void fill_latencies(NodeId src, Route* row) {
+  /// relaxation is strict in both, so latencies and parents match it. A
+  /// node's hops are its parent's plus one, set with the parent, so they
+  /// count the edges of its path on this tree.
+  void fill_row(NodeId src, Route* row) {
     std::fill(dist_.begin(), dist_.end(), kUnreachable);
     dist_[src] = 0.0;
+    row[src].hops = 0;
     heap_.assign(1, src);
     pos_[src] = 0;
     while (!heap_.empty()) {
@@ -64,6 +63,7 @@ class BlockBuilder {
         if (candidate < dist_[e.to]) {
           dist_[e.to] = candidate;
           row[e.to].parent_link = e.link;
+          row[e.to].hops = row[u].hops + 1;
           if (pos_[e.to] == kOutside) {
             pos_[e.to] = static_cast<std::uint32_t>(heap_.size());
             heap_.push_back(e.to);
@@ -72,48 +72,6 @@ class BlockBuilder {
         }
       }
     }
-  }
-
-  /// Level-synchronous BFS from every source in [first, first + 64) with
-  /// `alive(src)`: bit (src - first) of lanes_[v] marks v as on src's
-  /// frontier, seen_[v] as reached.
-  template <typename Alive>
-  void fill_hops(NodeId first, NodeId last, Route* routes, Alive alive) {
-    const std::size_t n = dist_.size();
-    frontier_.clear();
-    for (NodeId src = first; src < last; ++src) {
-      if (!alive(src)) continue;
-      const std::uint64_t bit = std::uint64_t{1} << (src - first);
-      seen_[src] |= bit;
-      lanes_[src] |= bit;
-      frontier_.push_back(src);
-      routes[src * n + src].hops = 0;
-    }
-    for (std::uint32_t level = 1; !frontier_.empty(); ++level) {
-      reached_.clear();
-      for (const NodeId u : frontier_) {
-        for (std::uint32_t i = csr_.offsets[u]; i < csr_.offsets[u + 1]; ++i) {
-          const NodeId v = csr_.edges[i].to;
-          const std::uint64_t fresh = lanes_[u] & ~seen_[v];
-          if (fresh == 0) continue;
-          if (next_lanes_[v] == 0) reached_.push_back(v);
-          next_lanes_[v] |= fresh;
-        }
-      }
-      for (const NodeId u : frontier_) lanes_[u] = 0;
-      for (const NodeId v : reached_) {
-        const std::uint64_t fresh = next_lanes_[v];
-        seen_[v] |= fresh;
-        lanes_[v] = fresh;
-        next_lanes_[v] = 0;
-        for (std::uint64_t bits = fresh; bits != 0; bits &= bits - 1) {
-          const auto src = first + static_cast<NodeId>(std::countr_zero(bits));
-          routes[src * n + v].hops = level;
-        }
-      }
-      frontier_.swap(reached_);
-    }
-    std::fill(seen_.begin(), seen_.end(), 0);
   }
 
  private:
@@ -158,16 +116,9 @@ class BlockBuilder {
   std::vector<double> dist_;
   std::vector<std::uint32_t> pos_;  // heap index, kOutside when not queued
   std::vector<NodeId> heap_;
-  std::vector<std::uint64_t> lanes_;       // frontier bits per node
-  std::vector<std::uint64_t> seen_;        // reached bits per node
-  std::vector<std::uint64_t> next_lanes_;  // next frontier being gathered
-  std::vector<NodeId> frontier_;
-  std::vector<NodeId> reached_;
 };
 
 }  // namespace
-
-static_assert(RouteTable::kSourceBlock <= 64);
 
 RouteTable::RouteTable(const Graph& g, const std::vector<bool>& blocked,
                        const BlockRunner& run_blocks)
@@ -178,21 +129,16 @@ RouteTable::RouteTable(const Graph& g, const std::vector<bool>& blocked,
     link_ends_.push_back(link.u ^ link.v);
   }
   const Csr csr = surviving_adjacency(g, blocked);
-  const auto alive = [&blocked](std::size_t src) {
-    return blocked.empty() || !blocked[src];  // blocked rows stay unreachable
-  };
   const auto build_block = [&](std::size_t block) {
     BlockBuilder builder(csr, n_);
     const std::size_t first = block * kSourceBlock;
     const std::size_t last = std::min(n_, first + kSourceBlock);
     for (std::size_t src = first; src < last; ++src) {
-      if (alive(src)) {
-        builder.fill_latencies(static_cast<NodeId>(src),
-                               routes_.data() + src * n_);
+      // Blocked rows stay unreachable.
+      if (blocked.empty() || !blocked[src]) {
+        builder.fill_row(static_cast<NodeId>(src), routes_.data() + src * n_);
       }
     }
-    builder.fill_hops(static_cast<NodeId>(first), static_cast<NodeId>(last),
-                      routes_.data(), alive);
   };
   const std::size_t blocks = (n_ + kSourceBlock - 1) / kSourceBlock;
   if (run_blocks) {

@@ -1,7 +1,7 @@
 // The simulator's all-pairs routing state: one immutable table per graph
 // (and failure set) holding, for every (source, destination) pair, the
-// Dijkstra latency, the BFS hop count, and the destination's parent link
-// on the source's shortest-path tree.
+// Dijkstra latency, the edge count, and the destination's parent link of
+// the path on the source's shortest-path tree.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +20,9 @@ inline constexpr std::uint32_t kNoLink = 0xFFFFFFFFu;
 /// One (source, destination) entry of a RouteTable.
 struct Route {
   double latency_ms = kUnreachable;       ///< Dijkstra latency
-  std::uint32_t hops = kUnreachableHops;  ///< BFS minimum hop count
+  /// Edges on the source's Dijkstra tree path: the hops a request walks,
+  /// not the graph's minimum hop count (bfs_hops).
+  std::uint32_t hops = kUnreachableHops;
   /// graph.links() index of the destination's link to its parent on the
   /// source's Dijkstra tree; kNoLink at the source and where unreachable.
   std::uint32_t parent_link = kNoLink;
@@ -29,19 +31,20 @@ static_assert(sizeof(Route) == 16);
 
 /// All-pairs routes over the subgraph that survives `blocked`, one row of
 /// n Routes per source. Row `src` equals dijkstra_filtered(g, src,
-/// blocked) for latency and parent and bfs_hops_filtered for hops; it is
-/// built by one Dijkstra and one BFS from `src`. Immutable once built, so
-/// holders share it (the simulator's copy-on-write rule: a network whose
-/// routers fail builds a private replacement instead of editing it).
+/// blocked): latency, parent, and hops = the length of extract_path's
+/// path minus one; it is built by one Dijkstra from `src`. Immutable once
+/// built, so holders share it (the simulator's copy-on-write rule: a
+/// network whose routers fail builds a private replacement instead of
+/// editing it).
 class RouteTable {
  public:
   /// Runs body(block) once for every block in [0, blocks), in any order
   /// and on any threads, and returns when all of them have finished.
   using BlockRunner = std::function<void(
       std::size_t blocks, const std::function<void(std::size_t)>& body)>;
-  /// Sources per block; a block's BFSs run together as the bits of one
-  /// 64-bit word per node. Rows are independent and blocks fixed, so the
-  /// table's bytes never depend on how the blocks were run.
+  /// Sources per block, the grain of a parallel build. Rows are
+  /// independent and blocks fixed, so the table's bytes never depend on
+  /// how the blocks were run.
   static constexpr std::size_t kSourceBlock = 64;
 
   /// `blocked` is empty (nothing blocked) or has node_count() entries; an

@@ -12,10 +12,6 @@ SsspResult dijkstra(const Graph& g, NodeId source) {
   return dijkstra_filtered(g, source, std::vector<bool>(g.node_count()));
 }
 
-std::vector<std::uint32_t> bfs_hops(const Graph& g, NodeId source) {
-  return bfs_hops_filtered(g, source, std::vector<bool>(g.node_count()));
-}
-
 std::vector<NodeId> extract_path(const SsspResult& sssp, NodeId source,
                                  NodeId target) {
   CCNOPT_EXPECTS(target < sssp.parent.size());
@@ -61,12 +57,9 @@ SsspResult dijkstra_filtered(const Graph& g, NodeId source,
   return result;
 }
 
-std::vector<std::uint32_t> bfs_hops_filtered(
-    const Graph& g, NodeId source, const std::vector<bool>& blocked) {
+std::vector<std::uint32_t> bfs_hops(const Graph& g, NodeId source) {
   CCNOPT_EXPECTS(source < g.node_count());
-  CCNOPT_EXPECTS(blocked.size() == g.node_count());
   std::vector<std::uint32_t> hops(g.node_count(), kUnreachableHops);
-  if (blocked[source]) return hops;
   hops[source] = 0;
   std::queue<NodeId> frontier;
   frontier.push(source);
@@ -74,7 +67,6 @@ std::vector<std::uint32_t> bfs_hops_filtered(
     const NodeId u = frontier.front();
     frontier.pop();
     for (const Edge& e : g.neighbors(u)) {
-      if (blocked[e.to]) continue;
       if (hops[e.to] == kUnreachableHops) {
         hops[e.to] = hops[u] + 1;
         frontier.push(e.to);
@@ -87,12 +79,10 @@ std::vector<std::uint32_t> bfs_hops_filtered(
 AllPairs all_pairs(const Graph& g) {
   const RouteTable routes(g);
   const std::size_t n = g.node_count();
-  AllPairs table{Matrix<double>(n, n), Matrix<std::uint32_t>(n, n)};
+  AllPairs table{Matrix<double>(n, n)};
   for (NodeId src = 0; src < n; ++src) {
     for (NodeId dst = 0; dst < n; ++dst) {
-      const Route& route = routes.route(src, dst);
-      table.latency_ms(src, dst) = route.latency_ms;
-      table.hops(src, dst) = route.hops;
+      table.latency_ms(src, dst) = routes.route(src, dst).latency_ms;
     }
   }
   return table;

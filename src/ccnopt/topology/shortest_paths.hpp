@@ -1,5 +1,5 @@
 // Shortest-path computations: latency-weighted Dijkstra, hop-count BFS,
-// all-pairs tables, and a Floyd-Warshall cross-check oracle.
+// an all-pairs latency table, and a Floyd-Warshall cross-check oracle.
 #pragma once
 
 #include <cstdint>
@@ -21,8 +21,9 @@ struct SsspResult {
 };
 SsspResult dijkstra(const Graph& g, NodeId source);
 
-/// Single-source hop counts (unweighted BFS); kUnreachableHops where
-/// disconnected.
+/// Single-source minimum hop counts (unweighted BFS); kUnreachableHops
+/// where disconnected. Table III's hop figures; a simulated request walks
+/// the Dijkstra tree instead, whose hops (Route::hops) can be more.
 std::vector<std::uint32_t> bfs_hops(const Graph& g, NodeId source);
 
 /// Reconstructs the path source -> target from a Dijkstra parent array;
@@ -30,11 +31,9 @@ std::vector<std::uint32_t> bfs_hops(const Graph& g, NodeId source);
 std::vector<NodeId> extract_path(const SsspResult& sssp, NodeId source,
                                  NodeId target);
 
-/// All-pairs latency and hop-count tables (a RouteTable's rows without
-/// their parent links).
+/// All-pairs Dijkstra latencies (a RouteTable's latency column).
 struct AllPairs {
   Matrix<double> latency_ms;
-  Matrix<std::uint32_t> hops;
 };
 AllPairs all_pairs(const Graph& g);
 
@@ -47,9 +46,5 @@ Matrix<double> floyd_warshall_latency(const Graph& g);
 /// unreachable. `blocked` must have node_count() entries.
 SsspResult dijkstra_filtered(const Graph& g, NodeId source,
                              const std::vector<bool>& blocked);
-
-/// BFS hop counts avoiding blocked nodes; same contract.
-std::vector<std::uint32_t> bfs_hops_filtered(const Graph& g, NodeId source,
-                                             const std::vector<bool>& blocked);
 
 }  // namespace ccnopt::topology

@@ -158,7 +158,7 @@ TEST(Failures, FailingARouterLeavesASharedTableUntouched) {
   const ServeResult result = healthy.serve(2, 999);
   EXPECT_EQ(result.hops, 3u);
   EXPECT_DOUBLE_EQ(result.latency_ms, 1.0 + 2.0 + 50.0);
-  EXPECT_EQ(healthy.hop_path(2, result),
+  EXPECT_EQ(healthy.hop_path(2, 999, result),
             (std::vector<topology::NodeId>{2, 1, 0}));
 
   failing.set_router_failed(1, false);

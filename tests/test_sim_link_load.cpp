@@ -1,11 +1,19 @@
-// Link-load accounting and multi-origin content mapping in the data plane.
+// Link-load accounting, multi-origin content mapping in the data plane,
+// and hop conservation: reported hops are the links a request walked.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <span>
+#include <string>
 
+#include "ccnopt/common/random.hpp"
 #include "ccnopt/sim/network.hpp"
+#include "ccnopt/sim/simulation.hpp"
 #include "ccnopt/sim/workload.hpp"
+#include "ccnopt/topology/datasets.hpp"
 #include "ccnopt/topology/generators.hpp"
+#include "ccnopt/topology/route_table.hpp"
 
 namespace ccnopt::sim {
 namespace {
@@ -144,6 +152,157 @@ TEST(MultiOrigin, NoOriginGatewayMayFail) {
   EXPECT_DEATH(network.set_router_failed(2, true), "precondition");
   network.set_router_failed(1, true);  // non-gateway is fine
   EXPECT_TRUE(network.is_failed(1));
+}
+
+/// The default Zipf workload with one router silenced: a failed router
+/// must not originate requests.
+class SilencedRouterWorkload final : public Workload {
+ public:
+  SilencedRouterWorkload(const topology::Graph& graph, const SimConfig& config,
+                         topology::NodeId silenced)
+      : zipf_(graph.node_count(), config.network.catalog_size, config.zipf_s,
+              config.seed),
+        silenced_(silenced) {}
+
+  cache::ContentId next(std::size_t router) override {
+    return zipf_.next(router);
+  }
+  std::uint64_t catalog_size() const override { return zipf_.catalog_size(); }
+  bool active(std::size_t router) const override {
+    return router != silenced_;
+  }
+  bool per_router_streams() const override { return true; }
+
+ private:
+  ZipfWorkload zipf_;
+  topology::NodeId silenced_;
+};
+
+/// The highest-degree router, other than the gateways, whose failure
+/// leaves the other routers connected: it lies on many shortest paths.
+topology::NodeId hub_to_fail(const topology::Graph& graph,
+                             const std::vector<NetworkConfig::OriginSpec>&
+                                 origins) {
+  topology::NodeId best = 0;
+  std::size_t best_degree = 0;
+  for (topology::NodeId r = 0; r < graph.node_count(); ++r) {
+    const auto is_gateway = [r](const NetworkConfig::OriginSpec& origin) {
+      return origin.gateway == r;
+    };
+    if (std::any_of(origins.begin(), origins.end(), is_gateway)) continue;
+    const std::size_t degree = graph.neighbors(r).size();
+    if (degree <= best_degree) continue;
+    std::vector<bool> blocked(graph.node_count(), false);
+    blocked[r] = true;
+    const topology::RouteTable table(graph, blocked);
+    const std::span<const topology::Route> row =
+        table.row(origins[0].gateway);
+    const auto unreachable = [](const topology::Route& route) {
+      return route.latency_ms >= topology::kUnreachable;
+    };
+    // Only r itself is cut off from the gateway.
+    if (std::count_if(row.begin(), row.end(), unreachable) == 1) {
+      best = r;
+      best_degree = degree;
+    }
+  }
+  EXPECT_GT(best_degree, 0u) << graph.name();
+  return best;
+}
+
+TEST(HopConservation, ReportedHopsAreTheWalkedPath) {
+  // Every golden topology under owner-table, lcd, peer-fetch and
+  // failed-router runs, plus interest aggregation under owner-table and
+  // lcd, with every request traced. Two origins with different extra hops
+  // pin which origin an origin-tier request's hops count.
+  Rng waxman_rng(150);
+  std::vector<topology::Graph> graphs = topology::all_datasets();
+  graphs.push_back(topology::make_waxman(150, waxman_rng));
+  for (const topology::Graph& graph : graphs) {
+    SimConfig base;
+    base.network.catalog_size = 2000;
+    base.network.capacity_c = 50;
+    base.network.local_mode = LocalStoreMode::kLru;
+    base.network.origins = {
+        NetworkConfig::OriginSpec{0, 50.0, 1},
+        NetworkConfig::OriginSpec{
+            static_cast<topology::NodeId>(graph.node_count() - 1), 30.0, 3}};
+    base.coordinated_x = 25;
+    base.zipf_s = 0.8;
+    base.warmup_requests = 0;  // every request measured and traced
+    base.measured_requests = 6000;
+    base.seed = 20240806;
+    base.trace_sample_k = 1;
+    base.record_topo = true;
+    base.timeline_epoch = 0;
+
+    struct Variant {
+      std::string name;
+      SimConfig config;
+      bool fail_hub = false;
+    };
+    std::vector<Variant> variants;
+    variants.push_back({"owner_table", base});
+    variants.push_back({"lcd", base});
+    variants.back().config.network.strategy = "lcd";
+    variants.push_back({"peer_fetch", base});
+    variants.back().config.network.allow_peer_local_fetch = true;
+    variants.push_back({"failed_router", base, true});
+    variants.push_back({"aggregation", base});
+    variants.back().config.interest_aggregation = true;
+    variants.push_back({"aggregation_lcd", base});
+    variants.back().config.interest_aggregation = true;
+    variants.back().config.network.strategy = "lcd";
+
+    for (const Variant& variant : variants) {
+      const std::string where = graph.name() + " " + variant.name;
+      const auto& origins = variant.config.network.origins;
+      Simulation sim(graph, variant.config);
+      if (variant.fail_hub) {
+        const topology::NodeId hub = hub_to_fail(graph, origins);
+        sim.network().set_router_failed(hub, true);
+        sim.set_workload(std::make_unique<SilencedRouterWorkload>(
+            graph, variant.config, hub));
+      }
+      const SimReport report = sim.run();
+
+      // Per request: hops = the traced path's edges, plus the extra hops
+      // of the request's origin for origin-tier requests.
+      std::size_t mismatched = 0;
+      std::uint64_t origin_extra_hops = 0;
+      for (const obs::TraceEvent& event : sim.traces()) {
+        std::uint64_t expected = event.path.size() - 1;
+        if (event.tier == "origin") {
+          const std::uint32_t extra =
+              origins[event.content % origins.size()].extra_hops;
+          expected += extra;
+          origin_extra_hops += extra;
+        }
+        if (event.hops != expected) ++mismatched;
+      }
+      EXPECT_EQ(mismatched, 0u) << where;
+
+      // Per run: reported hops = links traversed + the origins' extra
+      // hops. Aggregated runs are left out: a request that joins a fetch
+      // in flight reports that fetch's hops but walks no link itself.
+      if (variant.config.interest_aggregation) {
+        EXPECT_GT(report.aggregated_requests, 0u) << where;
+        continue;
+      }
+      ASSERT_EQ(sim.traces().size(), report.total_requests) << where;
+      std::uint64_t hops_sum = 0;
+      for (const obs::TopoNodeStats& node : sim.topo().nodes()) {
+        hops_sum += node.hops_sum;
+      }
+      EXPECT_EQ(hops_sum,
+                sim.network().total_link_traversals() + origin_extra_hops)
+          << where;
+      const auto reported = static_cast<double>(hops_sum);
+      EXPECT_NEAR(report.mean_hops * static_cast<double>(report.total_requests),
+                  reported, 1e-9 * reported)
+          << where;
+    }
+  }
 }
 
 }  // namespace

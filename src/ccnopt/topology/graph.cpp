@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "ccnopt/common/assert.hpp"
+#include "ccnopt/topology/shortest_paths.hpp"
 
 namespace ccnopt::topology {
 
@@ -24,6 +25,12 @@ Status Graph::add_edge(NodeId u, NodeId v, double latency_ms) {
   if (latency_ms <= 0.0) {
     return Status(ErrorCode::kInvalidArgument,
                   "add_edge: latency must be positive");
+  }
+  // A simple path has fewer than 2^32 links, so below this bound every
+  // path's latency stays below the kUnreachable sentinel. NaN fails too.
+  if (!(latency_ms < kUnreachable / 0x1p32)) {
+    return Status(ErrorCode::kInvalidArgument,
+                  "add_edge: latency must be finite and below 2.3e8 ms");
   }
   if (has_edge(u, v)) {
     return Status(ErrorCode::kFailedPrecondition,

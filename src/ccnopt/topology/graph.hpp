@@ -43,7 +43,9 @@ class Graph {
   NodeId add_node(NodeInfo info);
 
   /// Adds an undirected link with a positive latency. Rejects self-loops,
-  /// unknown endpoints, non-positive latency, and duplicate links.
+  /// unknown endpoints, duplicate links, and a latency that is not
+  /// positive, or not below kUnreachable / 2^32 (NaN and infinity
+  /// included).
   Status add_edge(NodeId u, NodeId v, double latency_ms);
 
   std::size_t node_count() const { return nodes_.size(); }

@@ -1,5 +1,6 @@
 #include "ccnopt/topology/io.hpp"
 
+#include <cmath>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -100,6 +101,12 @@ Expected<Graph> read_edge_list(std::istream& in) {
       if (!lat) return lat.status();
       const auto lon = parse_double(tokens[3], line_number);
       if (!lon) return lon.status();
+      // The negated range tests reject NaN as well.
+      if (!(std::abs(*lat) <= 90.0) || !(std::abs(*lon) <= 180.0)) {
+        return parse_error(line_number,
+                           "coordinates must be finite, latitude within "
+                           "+-90 and longitude within +-180");
+      }
       graph.add_node(NodeInfo{tokens[1], GeoPoint{*lat, *lon}});
     } else if (tokens[0] == "edge") {
       if (tokens.size() != 4) {

@@ -26,7 +26,8 @@ void write_edge_list(const Graph& g, std::ostream& out);
 
 /// Parses the edge-list format. Fails with kParseError (carrying the line
 /// number) on malformed input, unknown node references, duplicate nodes or
-/// edges, or non-positive latencies.
+/// edges, coordinates that are not finite or lie outside +-90 latitude /
+/// +-180 longitude, or latencies Graph::add_edge rejects.
 Expected<Graph> read_edge_list(std::istream& in);
 
 /// Convenience: parse from a string.

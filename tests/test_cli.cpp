@@ -407,6 +407,26 @@ TEST(Cli, HeteroRejectsBadSpec) {
   EXPECT_NE(result.exit_code, 0);
 }
 
+TEST(Cli, TopologyLoadRejectsMalformedValues) {
+  // Each file fails through the parse error, exit 1, never an abort.
+  const std::string path = testing::TempDir() + "ccnopt_malformed.txt";
+  for (const char* text :
+       {"node a 0 0\nnode b 1 1\nnode c 2 2\nedge a b 1\nedge b c nan\n",
+        "node a 0 0\nnode b 1 1\nnode c 2 2\nedge a b 1\nedge b c 1e300\n",
+        "node a nan 0\nnode b 1 1\nedge a b 1\n"}) {
+    {
+      std::ofstream out(path);
+      out << text;
+    }
+    const RunResult result = run_cli("topology --load=" + path);
+    EXPECT_EQ(result.exit_code, 1) << text << result.output;
+    EXPECT_NE(result.output.find("error: "), std::string::npos) << text;
+    EXPECT_NE(result.output.find("line "), std::string::npos)
+        << result.output;
+  }
+  std::remove(path.c_str());
+}
+
 TEST(Cli, TopologyStatsAndUnusedOptionWarning) {
   const RunResult result = run_cli("topology --name=geant --bogus=1");
   EXPECT_EQ(result.exit_code, 0);

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
+#include "ccnopt/topology/shortest_paths.hpp"
+
 namespace ccnopt::topology {
 namespace {
 
@@ -63,6 +68,16 @@ TEST(Graph, RejectsNonPositiveLatency) {
   const NodeId b = g.add_node({"b", {}});
   EXPECT_EQ(g.add_edge(a, b, 0.0).code(), ErrorCode::kInvalidArgument);
   EXPECT_EQ(g.add_edge(a, b, -1.0).code(), ErrorCode::kInvalidArgument);
+  // NaN, infinity and anything from kUnreachable / 2^32 up are rejected
+  // too: below that bound no simple path reaches the unreachable sentinel.
+  for (const double latency :
+       {std::nan(""), std::numeric_limits<double>::infinity(), 1e300,
+        kUnreachable / 0x1p32}) {
+    EXPECT_EQ(g.add_edge(a, b, latency).code(), ErrorCode::kInvalidArgument)
+        << latency;
+  }
+  EXPECT_EQ(g.undirected_edge_count(), 0u);
+  EXPECT_TRUE(g.add_edge(a, b, 1e8).is_ok());
 }
 
 TEST(Graph, RejectsDuplicateEdge) {

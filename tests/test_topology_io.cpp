@@ -63,6 +63,14 @@ TEST(EdgeList, ParseErrorsCarryLineNumbers) {
       {"teleport a b\n", "unknown directive"},
       {"graph g\ngraph h\n", "duplicate graph"},
       {"node a 1 2\nnode b 3 4\nedge a b 1\nedge b a 2\n", "duplicate link"},
+      {"node a 0 0\nnode b 1 1\nedge a b nan\n", "line 3: add_edge: latency"},
+      {"node a 0 0\nnode b 1 1\nedge a b inf\n", "line 3: add_edge: latency"},
+      {"node a 0 0\nnode b 1 1\nedge a b 1e300\n",
+       "line 3: add_edge: latency"},
+      {"node a nan 0\n", "line 1: coordinates"},
+      {"node a 0 -inf\n", "line 1: coordinates"},
+      {"node a 0 0\nnode b 90.5 0\n", "line 2: coordinates"},
+      {"node a 0 180.5\n", "line 1: coordinates"},
   };
   for (const Case& c : cases) {
     const auto graph = read_edge_list_string(c.text);
@@ -79,6 +87,11 @@ TEST(EdgeList, NumberWithTrailingJunkRejected) {
   ASSERT_FALSE(graph.has_value());
   EXPECT_NE(graph.status().message().find("trailing junk"),
             std::string::npos);
+}
+
+TEST(EdgeList, CoordinateBoundsAreInclusive) {
+  EXPECT_TRUE(read_edge_list_string("node a -90 180\nnode b 90 -180\n")
+                  .has_value());
 }
 
 TEST(EdgeList, EmptyInputIsAnEmptyGraph) {

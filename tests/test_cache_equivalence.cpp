@@ -1,13 +1,21 @@
-// Property tests pinning the flat intrusive LRU/LFU/FIFO rewrites to the
-// reference node-based implementations (cache/reference.hpp): identical
-// request streams must produce identical per-request hit/miss results,
-// identical stats, and identical resident sets — exact iteration order for
-// LRU (MRU first) and FIFO (oldest first), set equality plus per-id
-// frequency agreement for LFU (whose contents() order is unspecified on
-// both sides).
+// Lock-step replays of the flat LRU/LFU/FIFO policies, pinned to committed
+// digests. Each replay feeds one request stream to a policy with its dense
+// content index and, in lock-step, to the same policy with the sparse
+// robin-hood index forced. The index is pure bookkeeping, so hit, size()
+// and contains() must agree after every request. Each side also folds what
+// it observed into an FNV-1a-64 digest: every request's hit bit and size()
+// after it, the final CacheStats, and the final contents (MRU first for
+// LRU, oldest first for FIFO; sorted by id, each with its frequency(), for
+// LFU, whose iteration order is unspecified). Both digests must equal the
+// cell's line in tests/golden/cache_replays.txt, so a change that moves
+// both index flavours together still fails.
+//
+// The digests were recorded while the node-based reference policies
+// (std::list / std::map / std::deque LRU, LFU and FIFO) agreed with the
+// flat ones on every cell. On a mismatch the failure prints the cell's new
+// line; there is no update flag.
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -20,6 +28,7 @@
 #include "ccnopt/common/random.hpp"
 #include "ccnopt/popularity/sampler.hpp"
 #include "ccnopt/popularity/zipf.hpp"
+#include "golden.hpp"
 
 namespace ccnopt::cache {
 namespace {
@@ -34,71 +43,107 @@ std::uint64_t frequency_of(const CachePolicy& policy, ContentId id) {
   return 0;
 }
 
-/// Replays `stream` through three implementations of `kind` — the flat
-/// policy with its dense index, the flat policy with the sparse robin-hood
-/// index forced, and the reference node-based policy — asserting lock-step
-/// equivalence after every request. The index is pure bookkeeping, so both
-/// flat variants must agree with the reference on every observable.
-void replay(PolicyKind kind, std::size_t capacity,
-            const std::vector<ContentId>& stream) {
-  std::string trace = "policy=";
-  trace += to_string(kind);
-  trace += " capacity=";
-  trace += std::to_string(capacity);
-  trace += " stream_len=";
-  trace += std::to_string(stream.size());
-  SCOPED_TRACE(trace);
-  const auto flat = make_policy(kind, capacity);
-  const auto sparse =
-      make_policy(kind, capacity, 1, IndexSpec{IndexMode::kSparse, 0});
-  const auto reference = make_reference_policy(kind, capacity);
-  ASSERT_STREQ(flat->name(), reference->name());
-  ASSERT_STREQ(sparse->name(), reference->name());
-
-  for (std::size_t i = 0; i < stream.size(); ++i) {
-    const ContentId id = stream[i];
-    const bool flat_hit = flat->admit(id);
-    const bool sparse_hit = sparse->admit(id);
-    const bool reference_hit = reference->admit(id);
-    ASSERT_EQ(flat_hit, reference_hit)
-        << "diverged at request " << i << " (id " << id << ")";
-    ASSERT_EQ(sparse_hit, reference_hit)
-        << "sparse index diverged at request " << i << " (id " << id << ")";
-    ASSERT_EQ(flat->size(), reference->size()) << "after request " << i;
-    ASSERT_EQ(sparse->size(), reference->size()) << "after request " << i;
-    ASSERT_EQ(flat->contains(id), reference->contains(id))
-        << "after request " << i;
-    ASSERT_EQ(sparse->contains(id), reference->contains(id))
-        << "after request " << i;
+/// One policy kind and capacity, built once per content index and fed the
+/// same requests in lock-step; each side keeps its own digest.
+class LockStep {
+ public:
+  LockStep(PolicyKind kind, std::size_t capacity) : kind_(kind) {
+    sides_.push_back(make_policy(kind, capacity));
+    sides_.push_back(
+        make_policy(kind, capacity, 1, IndexSpec{IndexMode::kSparse, 0}));
+    sides_.push_back(make_reference_policy(kind, capacity));
+    hashes_.resize(sides_.size());
   }
 
-  for (const CachePolicy* policy : {flat.get(), sparse.get()}) {
-    EXPECT_EQ(policy->stats().hits, reference->stats().hits);
-    EXPECT_EQ(policy->stats().misses, reference->stats().misses);
-    EXPECT_EQ(policy->stats().insertions, reference->stats().insertions);
-    EXPECT_EQ(policy->stats().evictions, reference->stats().evictions);
+  CachePolicy& dense() { return *sides_[0]; }
+  CachePolicy& sparse() { return *sides_[1]; }
+
+  /// Admits `id` on both sides: hit, size() and contains(id) must agree.
+  void admit(ContentId id) {
+    std::vector<bool> hits;
+    for (const auto& side : sides_) hits.push_back(side->admit(id));
+    for (std::size_t s = 0; s < sides_.size(); ++s) {
+      ASSERT_EQ(hits[s], hits[0]) << kSideNames[s] << " diverged at request "
+                                  << requests_ << " (id " << id << ")";
+      ASSERT_EQ(sides_[s]->size(), sides_[0]->size())
+          << kSideNames[s] << " after request " << requests_;
+      ASSERT_EQ(sides_[s]->contains(id), sides_[0]->contains(id))
+          << kSideNames[s] << " after request " << requests_;
+      hashes_[s].u64(hits[s] ? 1 : 0);
+      hashes_[s].u64(sides_[s]->size());
+    }
+    ++requests_;
   }
 
-  std::vector<ContentId> reference_contents = reference->contents();
-  for (const CachePolicy* policy : {flat.get(), sparse.get()}) {
-    std::vector<ContentId> contents = policy->contents();
-    if (kind == PolicyKind::kLfu) {
-      // LFU iteration order is unspecified; compare as sets, then require
-      // per-id frequency agreement.
-      std::vector<ContentId> reference_sorted = reference_contents;
-      std::sort(contents.begin(), contents.end());
-      std::sort(reference_sorted.begin(), reference_sorted.end());
-      EXPECT_EQ(contents, reference_sorted);
-      for (const ContentId id : contents) {
-        EXPECT_EQ(frequency_of(*policy, id), frequency_of(*reference, id))
-            << "frequency mismatch for id " << id;
-      }
-    } else {
-      // LRU contents() is MRU-first and FIFO contents() is oldest-first on
-      // both sides: exact order must match.
-      EXPECT_EQ(contents, reference_contents);
+  void replay(const std::vector<ContentId>& stream) {
+    for (const ContentId id : stream) {
+      admit(id);
+      if (::testing::Test::HasFatalFailure()) return;
     }
   }
+
+  /// Empties both sides; their stats carry on.
+  void clear() {
+    for (const auto& side : sides_) {
+      side->clear();
+      ASSERT_EQ(side->size(), 0u);
+    }
+  }
+
+  /// Folds the final stats and contents into each side's digest and
+  /// compares it with the committed line of `cell`.
+  void expect_golden(const std::string& cell) {
+    const std::string expected =
+        golden::committed_digest(CCNOPT_CACHE_REPLAYS, cell);
+    for (std::size_t s = 0; s < sides_.size(); ++s) {
+      const CachePolicy& side = *sides_[s];
+      golden::Fnv1a& hash = hashes_[s];
+      const CacheStats stats = side.stats();
+      hash.u64(stats.hits);
+      hash.u64(stats.misses);
+      hash.u64(stats.insertions);
+      hash.u64(stats.evictions);
+      std::vector<ContentId> contents = side.contents();
+      if (kind_ == PolicyKind::kLfu) {
+        std::sort(contents.begin(), contents.end());
+      }
+      hash.u64(contents.size());
+      for (const ContentId id : contents) {
+        hash.u64(id);
+        if (kind_ == PolicyKind::kLfu) hash.u64(frequency_of(side, id));
+      }
+      EXPECT_EQ(golden::hex(hash.value()), expected)
+          << "cell " << cell << " (" << kSideNames[s]
+          << ") moved; its new line in tests/golden/cache_replays.txt "
+             "would be:\n"
+          << cell << " " << golden::hex(hash.value());
+    }
+  }
+
+ private:
+  static constexpr const char* kSideNames[] = {"dense", "sparse",
+                                               "reference"};
+  PolicyKind kind_;
+  std::vector<std::unique_ptr<CachePolicy>> sides_;
+  std::vector<golden::Fnv1a> hashes_;
+  std::uint64_t requests_ = 0;
+};
+
+/// "<stream>/<kind>/c<capacity>", the cell's name in the golden file.
+std::string cell_name(const std::string& stream, PolicyKind kind,
+                      std::size_t capacity) {
+  return stream + "/" + to_string(kind) + "/c" + std::to_string(capacity);
+}
+
+/// Replays `stream` through a fresh lock-step pair and checks its digest.
+void replay_cell(const std::string& stream_name, PolicyKind kind,
+                 std::size_t capacity, const std::vector<ContentId>& stream) {
+  const std::string cell = cell_name(stream_name, kind, capacity);
+  SCOPED_TRACE(cell);
+  LockStep lock_step(kind, capacity);
+  lock_step.replay(stream);
+  if (::testing::Test::HasFatalFailure()) return;
+  lock_step.expect_golden(cell);
 }
 
 constexpr PolicyKind kKinds[] = {PolicyKind::kLru, PolicyKind::kLfu,
@@ -126,18 +171,21 @@ std::vector<ContentId> uniform_stream(std::uint64_t catalog,
 }
 
 TEST(CacheEquivalence, ZipfStreams) {
+  const auto mild = zipf_stream(2000, 0.8, 20000, 42);
+  const auto steep = zipf_stream(2000, 1.2, 20000, 43);
   for (const PolicyKind kind : kKinds) {
     for (const std::size_t capacity : {1u, 7u, 64u, 500u}) {
-      replay(kind, capacity, zipf_stream(2000, 0.8, 20000, 42));
-      replay(kind, capacity, zipf_stream(2000, 1.2, 20000, 43));
+      replay_cell("zipf-s0.8", kind, capacity, mild);
+      replay_cell("zipf-s1.2", kind, capacity, steep);
     }
   }
 }
 
 TEST(CacheEquivalence, UniformStreams) {
+  const auto stream = uniform_stream(500, 20000, 7);
   for (const PolicyKind kind : kKinds) {
     for (const std::size_t capacity : {2u, 33u, 256u}) {
-      replay(kind, capacity, uniform_stream(500, 20000, 7));
+      replay_cell("uniform", kind, capacity, stream);
     }
   }
 }
@@ -145,7 +193,7 @@ TEST(CacheEquivalence, UniformStreams) {
 TEST(CacheEquivalence, ZeroCapacityNeverStores) {
   for (const PolicyKind kind : kKinds) {
     const auto stream = zipf_stream(100, 0.8, 2000, 11);
-    replay(kind, 0, stream);
+    replay_cell("zero-capacity", kind, 0, stream);
     const auto policy = make_policy(kind, 0);
     for (const ContentId id : stream) EXPECT_FALSE(policy->admit(id));
     EXPECT_EQ(policy->size(), 0u);
@@ -162,7 +210,7 @@ TEST(CacheEquivalence, SequentialScanChurnsEverything) {
     for (ContentId id = 1; id <= 100; ++id) stream.push_back(id);
   }
   for (const PolicyKind kind : kKinds) {
-    replay(kind, 64, stream);
+    replay_cell("scan", kind, 64, stream);
   }
 }
 
@@ -178,7 +226,7 @@ TEST(CacheEquivalence, CyclicWithHotSet) {
     }
   }
   for (const PolicyKind kind : kKinds) {
-    replay(kind, 32, stream);
+    replay_cell("hot-set", kind, 32, stream);
   }
 }
 
@@ -187,7 +235,7 @@ TEST(CacheEquivalence, RepeatedSingleId) {
   // hits; LFU frequency must track the request count exactly.
   std::vector<ContentId> stream(1000, 77);
   for (const PolicyKind kind : kKinds) {
-    replay(kind, 1, stream);
+    replay_cell("single-id", kind, 1, stream);
   }
   LfuCache lfu(1);
   for (int i = 0; i < 1000; ++i) lfu.admit(77);
@@ -196,7 +244,7 @@ TEST(CacheEquivalence, RepeatedSingleId) {
 
 TEST(CacheEquivalence, SparseIdsExerciseOverflowTable) {
   // Ids beyond the dense SlotMap limit land in the overflow map; behaviour
-  // must stay identical to the reference policies.
+  // must stay identical to the dense ids'.
   std::vector<ContentId> stream;
   Rng rng(99);
   for (int i = 0; i < 5000; ++i) {
@@ -205,49 +253,34 @@ TEST(CacheEquivalence, SparseIdsExerciseOverflowTable) {
     stream.push_back(base + rng.uniform_int(1, 200));
   }
   for (const PolicyKind kind : kKinds) {
-    replay(kind, 48, stream);
+    replay_cell("sparse-ids", kind, 48, stream);
   }
 }
 
 TEST(CacheEquivalence, ClearMidStreamStaysEquivalent) {
-  // clear() between two stream halves: every implementation (dense-index
-  // flat, sparse-index flat, reference) must restart from an empty store
-  // while keeping its accumulated stats, and the halves must replay
-  // identically afterwards.
+  // clear() between two stream halves: both index flavours must restart
+  // from an empty store while keeping their accumulated stats, and the
+  // halves must replay identically afterwards.
   const auto first = zipf_stream(2000, 0.8, 10000, 51);
   const auto second = zipf_stream(2000, 1.1, 10000, 52);
   for (const PolicyKind kind : kKinds) {
-    SCOPED_TRACE(to_string(kind));
-    const auto flat = make_policy(kind, 64);
-    const auto sparse =
-        make_policy(kind, 64, 1, IndexSpec{IndexMode::kSparse, 0});
-    const auto reference = make_reference_policy(kind, 64);
-    for (const ContentId id : first) {
-      flat->admit(id);
-      sparse->admit(id);
-      reference->admit(id);
-    }
-    const CacheStats stats_before = flat->stats();
-    flat->clear();
-    sparse->clear();
-    reference->clear();
-    ASSERT_EQ(flat->size(), 0u);
-    ASSERT_EQ(sparse->size(), 0u);
-    ASSERT_EQ(reference->size(), 0u);
+    const std::string cell = cell_name("clear-mid-stream", kind, 64);
+    SCOPED_TRACE(cell);
+    LockStep lock_step(kind, 64);
+    lock_step.replay(first);
+    ASSERT_FALSE(HasFatalFailure());
+    const CacheStats stats_before = lock_step.dense().stats();
+    lock_step.clear();
+    ASSERT_FALSE(HasFatalFailure());
     // Stats survive a clear (it resets contents, not accounting).
-    ASSERT_EQ(flat->stats().requests(), stats_before.requests());
+    ASSERT_EQ(lock_step.dense().stats().requests(), stats_before.requests());
     for (const ContentId id : first) {
-      ASSERT_FALSE(flat->contains(id));
-      ASSERT_FALSE(sparse->contains(id));
+      ASSERT_FALSE(lock_step.dense().contains(id));
+      ASSERT_FALSE(lock_step.sparse().contains(id));
     }
-    for (std::size_t i = 0; i < second.size(); ++i) {
-      const ContentId id = second[i];
-      const bool flat_hit = flat->admit(id);
-      const bool sparse_hit = sparse->admit(id);
-      const bool reference_hit = reference->admit(id);
-      ASSERT_EQ(flat_hit, reference_hit) << "request " << i;
-      ASSERT_EQ(sparse_hit, reference_hit) << "request " << i;
-    }
+    lock_step.replay(second);
+    ASSERT_FALSE(HasFatalFailure());
+    lock_step.expect_golden(cell);
   }
 }
 
@@ -256,21 +289,20 @@ TEST(CacheEquivalence, ClearThenRefillRepeatedly) {
   // re-provisioning): many clear/refill cycles must never corrupt any
   // index flavour.
   for (const PolicyKind kind : kKinds) {
-    SCOPED_TRACE(to_string(kind));
-    const auto sparse =
-        make_policy(kind, 32, 1, IndexSpec{IndexMode::kSparse, 0});
-    const auto reference = make_reference_policy(kind, 32);
+    const std::string cell = cell_name("clear-refill", kind, 32);
+    SCOPED_TRACE(cell);
+    LockStep lock_step(kind, 32);
     Rng rng(77);
     for (int epoch = 0; epoch < 20; ++epoch) {
+      SCOPED_TRACE("epoch " + std::to_string(epoch));
       for (int i = 0; i < 500; ++i) {
-        const ContentId id = rng.uniform_int(1, 300);
-        ASSERT_EQ(sparse->admit(id), reference->admit(id))
-            << "epoch " << epoch << " request " << i;
+        lock_step.admit(rng.uniform_int(1, 300));
+        ASSERT_FALSE(HasFatalFailure());
       }
-      sparse->clear();
-      reference->clear();
-      ASSERT_EQ(sparse->size(), 0u);
+      lock_step.clear();
+      ASSERT_FALSE(HasFatalFailure());
     }
+    lock_step.expect_golden(cell);
   }
 }
 

@@ -1,8 +1,7 @@
-// Throughput bench: raw replacement-policy admit loops, flat intrusive
-// implementations vs their node-based reference oracles, on a shared Zipf
-// request stream. The headline requests_per_sec is the flat LRU rate; the
-// per-policy rates land in outputs as <policy>_rps / <policy>_reference_rps
-// so regressions in any one rewrite are visible.
+// Throughput bench: raw replacement-policy admit loops of the flat
+// LRU/LFU/FIFO policies on a shared Zipf request stream. The headline
+// requests_per_sec is the LRU rate; the per-policy rates land in outputs
+// as <policy>_rps so a regression in any one policy is visible.
 //
 // Usage: bench_throughput_caches [ops] [capacity] [catalog]
 #include <iostream>
@@ -10,7 +9,6 @@
 
 #include "bench_util.hpp"
 #include "ccnopt/cache/policy.hpp"
-#include "ccnopt/cache/reference.hpp"
 #include "ccnopt/common/args.hpp"
 #include "ccnopt/common/random.hpp"
 #include "ccnopt/common/strings.hpp"
@@ -51,20 +49,15 @@ int main(int argc, char** argv) {
   const cache::PolicyKind kinds[] = {cache::PolicyKind::kLru,
                                      cache::PolicyKind::kLfu,
                                      cache::PolicyKind::kFifo};
-  TextTable table({"policy", "flat Mreq/s", "reference Mreq/s", "speedup"});
+  TextTable table({"policy", "Mreq/s"});
   double lru_rps = 0.0;
   for (const cache::PolicyKind kind : kinds) {
-    auto flat = cache::make_policy(kind, capacity, 7);
-    auto reference = cache::make_reference_policy(kind, capacity, 7);
-    const double flat_rps = admit_loop_rps(*flat, stream);
-    const double ref_rps = admit_loop_rps(*reference, stream);
-    if (kind == cache::PolicyKind::kLru) lru_rps = flat_rps;
-    const std::string name = flat->name();
-    table.add_row({name, format_double(flat_rps / 1e6, 2),
-                   format_double(ref_rps / 1e6, 2),
-                   format_double(flat_rps / ref_rps, 2)});
-    reporter.set_output(name + "_rps", flat_rps);
-    reporter.set_output(name + "_reference_rps", ref_rps);
+    auto policy = cache::make_policy(kind, capacity, 7);
+    const double rps = admit_loop_rps(*policy, stream);
+    if (kind == cache::PolicyKind::kLru) lru_rps = rps;
+    const std::string name = policy->name();
+    table.add_row({name, format_double(rps / 1e6, 2)});
+    reporter.set_output(name + "_rps", rps);
   }
   table.print(std::cout);
 

@@ -94,8 +94,8 @@ int main(int argc, char** argv) {
             << " placement messages (Eq. 3 communication term)\n\n";
 
   // Stability analysis around the operating point (Section V-B1).
-  const auto sweep =
-      model::sweep_alpha(params, model::linspace(0.02, 1.0, 99));
+  const auto sweep = model::sweep(params, model::SweepParameter::kAlpha,
+                                  model::linspace(0.02, 1.0, 99));
   if (sweep) {
     std::cout << "stability: max |d l*/d alpha| over the sweep = "
               << format_double(model::max_sensitivity(*sweep), 2) << "\n";

@@ -3,8 +3,7 @@
 // a dense ContentId -> slot table. No recency update, no per-node
 // allocation; every operation is O(1).
 //
-// ReferenceFifoCache (reference.hpp) keeps the deque + hash set
-// implementation for the equivalence property tests.
+// tests/golden/cache_replays.txt pins its behaviour.
 #pragma once
 
 #include "ccnopt/cache/content_index.hpp"
@@ -20,7 +19,7 @@ class FifoCache final : public CachePolicy {
   bool contains(ContentId id) const override {
     return members_.find(id) != ContentIndex::kNoSlot;
   }
-  /// Oldest first (the ReferenceFifoCache order).
+  /// Oldest first.
   std::vector<ContentId> contents() const override;
   void clear() override;
   void prefetch(ContentId id) const override { members_.prefetch(id); }

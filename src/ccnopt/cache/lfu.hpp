@@ -6,9 +6,9 @@
 // allocation and no std::map — bump, insert, and evict all touch a handful
 // of contiguous words.
 //
-// Semantics are identical to ReferenceLfuCache (reference.hpp): each
-// frequency bucket is an LRU list (most recent at head), eviction takes the
-// least-recent entry of the lowest-frequency bucket. Under a stationary
+// Each frequency bucket is an LRU list (most recent at head); eviction
+// takes the least-recent entry of the lowest-frequency bucket, and
+// tests/golden/cache_replays.txt pins that behaviour. Under a stationary
 // Zipf stream the policy converges to holding the top-capacity ranks — the
 // paper's steady-state non-coordinated store (Section II's "canonical
 // caching policy based on frequency").

@@ -6,9 +6,8 @@
 // accesses. Slots are recycled in place on eviction, so the arrays never
 // exceed `capacity` entries.
 //
-// ReferenceLruCache (reference.hpp) keeps the classic std::list + hash map
-// implementation; the equivalence property tests replay identical request
-// streams through both and require identical hit/miss/eviction sequences.
+// tests/golden/cache_replays.txt pins its per-request hits and sizes,
+// final stats and contents on every replay of tests/test_cache_equivalence.
 #pragma once
 
 #include "ccnopt/cache/content_index.hpp"
@@ -24,7 +23,7 @@ class LruCache final : public CachePolicy {
   bool contains(ContentId id) const override {
     return slots_.find(id) != ContentIndex::kNoSlot;
   }
-  /// Most recently used first (the ReferenceLruCache order).
+  /// Most recently used first.
   std::vector<ContentId> contents() const override;
   void clear() override;
   void prefetch(ContentId id) const override { slots_.prefetch(id); }

@@ -92,31 +92,6 @@ Expected<std::vector<SweepPoint>> sweep(const SystemParams& base,
   return reduce_sweep_outcomes(outcomes);
 }
 
-Expected<std::vector<SweepPoint>> sweep_alpha(
-    const SystemParams& base, const std::vector<double>& alphas) {
-  return sweep(base, SweepParameter::kAlpha, alphas);
-}
-
-Expected<std::vector<SweepPoint>> sweep_zipf(
-    const SystemParams& base, const std::vector<double>& exponents) {
-  return sweep(base, SweepParameter::kZipf, exponents);
-}
-
-Expected<std::vector<SweepPoint>> sweep_routers(
-    const SystemParams& base, const std::vector<double>& ns) {
-  return sweep(base, SweepParameter::kRouters, ns);
-}
-
-Expected<std::vector<SweepPoint>> sweep_unit_cost(
-    const SystemParams& base, const std::vector<double>& ws) {
-  return sweep(base, SweepParameter::kUnitCost, ws);
-}
-
-Expected<std::vector<SweepPoint>> sweep_gamma(
-    const SystemParams& base, const std::vector<double>& gammas) {
-  return sweep(base, SweepParameter::kGamma, gammas);
-}
-
 std::vector<double> linspace(double lo, double hi, int count) {
   CCNOPT_EXPECTS(count >= 2);
   std::vector<double> values(static_cast<std::size_t>(count));

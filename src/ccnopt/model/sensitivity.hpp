@@ -54,16 +54,6 @@ Expected<std::vector<SweepPoint>> reduce_sweep_outcomes(
 Expected<std::vector<SweepPoint>> sweep(const SystemParams& base,
                                         SweepParameter parameter,
                                         const std::vector<double>& values);
-Expected<std::vector<SweepPoint>> sweep_alpha(const SystemParams& base,
-                                              const std::vector<double>& alphas);
-Expected<std::vector<SweepPoint>> sweep_zipf(const SystemParams& base,
-                                             const std::vector<double>& exponents);
-Expected<std::vector<SweepPoint>> sweep_routers(const SystemParams& base,
-                                                const std::vector<double>& ns);
-Expected<std::vector<SweepPoint>> sweep_unit_cost(const SystemParams& base,
-                                                  const std::vector<double>& ws);
-Expected<std::vector<SweepPoint>> sweep_gamma(const SystemParams& base,
-                                              const std::vector<double>& gammas);
 
 /// Uniformly spaced values in [lo, hi] inclusive; count >= 2.
 std::vector<double> linspace(double lo, double hi, int count);

@@ -17,17 +17,6 @@ double harmonic_exact(std::uint64_t k, double s) {
   return sum;
 }
 
-double harmonic_integral(double x, double s) {
-  CCNOPT_EXPECTS(x >= 1.0);
-  if (std::abs(s - 1.0) < 1e-12) return std::log(x);
-  return (std::pow(x, 1.0 - s) - 1.0) / (1.0 - s);
-}
-
-double harmonic_integral_derivative(double x, double s) {
-  CCNOPT_EXPECTS(x > 0.0);
-  return std::pow(x, -s);
-}
-
 double harmonic_euler_maclaurin(std::uint64_t k, double s) {
   CCNOPT_EXPECTS(k >= 1);
   // For small k the expansion's remainder is not negligible; sum directly.

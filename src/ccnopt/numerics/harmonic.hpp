@@ -2,14 +2,12 @@
 // block of the paper's Zipf machinery (Eq. 1) and its continuous
 // approximation (Eq. 6).
 //
-// Three evaluation strategies are provided:
+// Two evaluation strategies are provided:
 //   * harmonic_exact      — direct summation, O(k); ground truth for tests.
 //   * harmonic_euler_maclaurin — Euler–Maclaurin expansion, O(1) after a
 //     short prefix sum; accurate to ~1e-12 for k >= 10. Used when k is in
 //     the paper's range (up to N = 10^12) where direct summation is
 //     impossible.
-//   * harmonic_integral   — the pure integral approximation
-//     (x^{1-s} - 1)/(1 - s) the paper substitutes in Eq. 6.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +31,7 @@ double harmonic(std::uint64_t k, double s,
 
 /// Log-weighted harmonic number L_{k,s} = sum_{j=1..k} j^{-s} ln j — the
 /// numerator of the Zipf expected log-rank E[ln rank] = L/H that the MLE
-/// exponent fit matches to data. Same three-strategy split as H_{k,s}.
+/// exponent fit matches to data. Same split as H_{k,s}.
 double harmonic_log_exact(std::uint64_t k, double s);
 
 /// L_{k,s} via Euler–Maclaurin on f(t) = t^{-s} ln t. Requires k >= 1.
@@ -43,14 +41,6 @@ double harmonic_log_euler_maclaurin(std::uint64_t k, double s);
 /// above — keeps the MLE fit O(1) per solver iteration at web-scale catalogs.
 double harmonic_log(std::uint64_t k, double s,
                     std::uint64_t exact_threshold = 4096);
-
-/// The continuous-approximation numerator of Eq. 6:
-/// \int_1^x t^{-s} dt = (x^{1-s} - 1)/(1 - s)  (ln x when s = 1).
-/// Requires x >= 1 (callers clamp; F(x<1) := 0 upstream).
-double harmonic_integral(double x, double s);
-
-/// Derivative of harmonic_integral with respect to x, i.e. x^{-s}.
-double harmonic_integral_derivative(double x, double s);
 
 /// Memoized exact harmonic prefix sums for one fixed exponent s; O(1) lookup
 /// after an O(max_k) build. Used by exact-Zipf CDF evaluation and samplers.

@@ -10,20 +10,6 @@
 namespace ccnopt::numerics {
 namespace {
 
-// Root-finder usage counters land in the deterministic registry: call and
-// iteration counts are pure functions of the solver inputs.
-Expected<RootResult> count_root(const char* name,
-                                Expected<RootResult> result) {
-  obs::MetricsRegistry& registry = obs::metrics();
-  registry.incr(std::string("numerics.roots.") + name + ".calls");
-  if (result) {
-    registry.incr(std::string("numerics.roots.") + name + ".iterations",
-                  static_cast<std::uint64_t>(
-                      result->iterations < 0 ? 0 : result->iterations));
-  }
-  return result;
-}
-
 bool opposite_signs(double a, double b) {
   return (a <= 0.0 && b >= 0.0) || (a >= 0.0 && b <= 0.0);
 }
@@ -33,36 +19,6 @@ Status bad_bracket(double lo, double hi, double flo, double fhi) {
                 "no sign change on bracket [" + std::to_string(lo) + ", " +
                     std::to_string(hi) + "]: f(lo)=" + std::to_string(flo) +
                     ", f(hi)=" + std::to_string(fhi));
-}
-
-Expected<RootResult> bisect_impl(const Fn& f, double lo, double hi,
-                                 const RootOptions& options) {
-  if (!(lo < hi)) {
-    return Status(ErrorCode::kInvalidArgument, "bisect: lo must be < hi");
-  }
-  double flo = f(lo);
-  double fhi = f(hi);
-  if (flo == 0.0) return RootResult{lo, 0.0, 0};
-  if (fhi == 0.0) return RootResult{hi, 0.0, 0};
-  if (!opposite_signs(flo, fhi)) return bad_bracket(lo, hi, flo, fhi);
-
-  RootResult result;
-  for (int it = 0; it < options.max_iterations; ++it) {
-    const double mid = 0.5 * (lo + hi);
-    const double fmid = f(mid);
-    result = RootResult{mid, fmid, it + 1};
-    if (fmid == 0.0 || (hi - lo) < options.x_tolerance ||
-        (options.f_tolerance > 0.0 && std::abs(fmid) < options.f_tolerance)) {
-      return result;
-    }
-    if (opposite_signs(flo, fmid)) {
-      hi = mid;
-    } else {
-      lo = mid;
-      flo = fmid;
-    }
-  }
-  return result;  // best effort after max_iterations
 }
 
 Expected<RootResult> brent_impl(const Fn& f, double lo, double hi,
@@ -132,87 +88,21 @@ Expected<RootResult> brent_impl(const Fn& f, double lo, double hi,
   return RootResult{b, fb, options.max_iterations};
 }
 
-Expected<RootResult> newton_impl(const Fn& f, const Fn& df, double lo,
-                                 double hi, const RootOptions& options) {
-  if (!(lo < hi)) {
-    return Status(ErrorCode::kInvalidArgument, "newton: lo must be < hi");
-  }
-  double flo = f(lo);
-  double fhi = f(hi);
-  if (flo == 0.0) return RootResult{lo, 0.0, 0};
-  if (fhi == 0.0) return RootResult{hi, 0.0, 0};
-  if (!opposite_signs(flo, fhi)) return bad_bracket(lo, hi, flo, fhi);
-
-  double x = 0.5 * (lo + hi);
-  for (int it = 0; it < options.max_iterations; ++it) {
-    const double fx = f(x);
-    if (fx == 0.0 ||
-        (options.f_tolerance > 0.0 && std::abs(fx) < options.f_tolerance)) {
-      return RootResult{x, fx, it};
-    }
-    // Shrink the bracket around the sign change.
-    if (opposite_signs(flo, fx)) {
-      hi = x;
-    } else {
-      lo = x;
-      flo = fx;
-    }
-    if ((hi - lo) < options.x_tolerance) return RootResult{x, fx, it};
-
-    const double dfx = df(x);
-    double next = (dfx != 0.0) ? x - fx / dfx : 0.5 * (lo + hi);
-    // Fall back to bisection when Newton escapes the bracket.
-    if (!(next > lo && next < hi)) next = 0.5 * (lo + hi);
-    x = next;
-  }
-  return RootResult{x, f(x), options.max_iterations};
-}
-
 }  // namespace
 
-Expected<RootResult> bisect(const Fn& f, double lo, double hi,
-                            const RootOptions& options) {
-  return count_root("bisect", bisect_impl(f, lo, hi, options));
-}
-
+// Usage counters land in the deterministic registry: call and iteration
+// counts are pure functions of the solver inputs.
 Expected<RootResult> brent(const Fn& f, double lo, double hi,
                            const RootOptions& options) {
-  return count_root("brent", brent_impl(f, lo, hi, options));
-}
-
-Expected<RootResult> newton_safeguarded(const Fn& f, const Fn& df, double lo,
-                                        double hi,
-                                        const RootOptions& options) {
-  return count_root("newton", newton_impl(f, df, lo, hi, options));
-}
-
-Expected<std::pair<double, double>> expand_bracket(const Fn& f, double lo,
-                                                   double hi, double limit_lo,
-                                                   double limit_hi,
-                                                   int max_expansions) {
-  if (!(lo < hi) || !(limit_lo <= lo) || !(hi <= limit_hi)) {
-    return Status(ErrorCode::kInvalidArgument,
-                  "expand_bracket: need limit_lo <= lo < hi <= limit_hi");
+  Expected<RootResult> result = brent_impl(f, lo, hi, options);
+  obs::MetricsRegistry& registry = obs::metrics();
+  registry.incr("numerics.roots.brent.calls");
+  if (result) {
+    registry.incr("numerics.roots.brent.iterations",
+                  static_cast<std::uint64_t>(
+                      result->iterations < 0 ? 0 : result->iterations));
   }
-  double flo = f(lo);
-  double fhi = f(hi);
-  for (int i = 0; i < max_expansions; ++i) {
-    if (opposite_signs(flo, fhi)) return std::make_pair(lo, hi);
-    const double width = hi - lo;
-    // Expand the side with the larger |f| (heuristic: the root is likely
-    // beyond the flatter side).
-    if (std::abs(flo) < std::abs(fhi)) {
-      lo = std::max(limit_lo, lo - width);
-      flo = f(lo);
-    } else {
-      hi = std::min(limit_hi, hi + width);
-      fhi = f(hi);
-    }
-    if (lo == limit_lo && hi == limit_hi && !opposite_signs(flo, fhi)) break;
-  }
-  if (opposite_signs(flo, fhi)) return std::make_pair(lo, hi);
-  return Status(ErrorCode::kNumericalFailure,
-                "expand_bracket: no sign change found within limits");
+  return result;
 }
 
 }  // namespace ccnopt::numerics

@@ -1,6 +1,6 @@
-// One-dimensional root finding over a bracket. Lemma 2's fixed-point
+// One-dimensional root finding over a bracket (Brent). Lemma 2's fixed-point
 // equation a*l^{-s} = (1-l)^{-s} + b and the exact first-order condition of
-// Eq. 4 are both solved through these.
+// Eq. 4 are both solved through it.
 #pragma once
 
 #include <functional>
@@ -23,30 +23,11 @@ struct RootResult {
 
 using Fn = std::function<double(double)>;
 
-/// Bisection on [lo, hi]. Requires lo < hi and f(lo)*f(hi) <= 0; returns
-/// kInvalidArgument otherwise (callers may not have a guaranteed bracket).
-Expected<RootResult> bisect(const Fn& f, double lo, double hi,
-                            const RootOptions& options = {});
-
 /// Brent's method (inverse quadratic interpolation + secant + bisection
-/// fallback) on [lo, hi]; same bracket requirement as bisect, superlinear
-/// convergence on smooth f.
+/// fallback) on [lo, hi]. Requires lo < hi and f(lo)*f(hi) <= 0; returns
+/// kInvalidArgument otherwise (callers may not have a guaranteed bracket).
+/// Superlinear convergence on smooth f.
 Expected<RootResult> brent(const Fn& f, double lo, double hi,
                            const RootOptions& options = {});
-
-/// Newton's method with a bisection safeguard: iterates stay inside
-/// [lo, hi] and the bracket shrinks monotonically, so convergence is
-/// guaranteed for continuous f with a sign change.
-Expected<RootResult> newton_safeguarded(const Fn& f, const Fn& df, double lo,
-                                        double hi,
-                                        const RootOptions& options = {});
-
-/// Expands (geometrically) a candidate bracket [lo, hi] towards `limit_lo`
-/// and `limit_hi` until f changes sign; returns the bracket or
-/// kNumericalFailure if none is found within max_expansions.
-Expected<std::pair<double, double>> expand_bracket(const Fn& f, double lo,
-                                                   double hi, double limit_lo,
-                                                   double limit_hi,
-                                                   int max_expansions = 64);
 
 }  // namespace ccnopt::numerics

@@ -83,48 +83,6 @@ double mean(std::span<const double> xs) {
   return sum / static_cast<double>(xs.size());
 }
 
-double variance(std::span<const double> xs) {
-  CCNOPT_EXPECTS(xs.size() >= 2);
-  const double m = mean(xs);
-  double sum = 0.0;
-  for (double x : xs) sum += (x - m) * (x - m);
-  return sum / static_cast<double>(xs.size() - 1);
-}
-
-double quantile(std::span<const double> xs, double q) {
-  CCNOPT_EXPECTS(!xs.empty());
-  CCNOPT_EXPECTS(q >= 0.0 && q <= 1.0);
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
-double chi_square_statistic(std::span<const std::uint64_t> observed,
-                            std::span<const double> expected) {
-  CCNOPT_EXPECTS(observed.size() == expected.size());
-  double stat = 0.0;
-  for (std::size_t i = 0; i < observed.size(); ++i) {
-    if (expected[i] < 1e-12) continue;
-    const double diff = static_cast<double>(observed[i]) - expected[i];
-    stat += diff * diff / expected[i];
-  }
-  return stat;
-}
-
-double ks_distance(std::span<const double> cdf_a,
-                   std::span<const double> cdf_b) {
-  CCNOPT_EXPECTS(cdf_a.size() == cdf_b.size());
-  double d = 0.0;
-  for (std::size_t i = 0; i < cdf_a.size(); ++i) {
-    d = std::max(d, std::abs(cdf_a[i] - cdf_b[i]));
-  }
-  return d;
-}
-
 LinearFit linear_fit(std::span<const double> x, std::span<const double> y) {
   CCNOPT_EXPECTS(x.size() == y.size());
   CCNOPT_EXPECTS(x.size() >= 2);

@@ -1,5 +1,5 @@
-// Summary statistics and small inference helpers used by the simulator's
-// metrics and by distribution tests of the Zipf samplers.
+// Summary statistics used by the simulator's metrics, and the least-squares
+// fit behind the Zipf exponent estimator.
 #pragma once
 
 #include <cstdint>
@@ -62,22 +62,6 @@ RunningStats merge_tree(std::span<const RunningStats> parts);
 
 /// Arithmetic mean; requires non-empty input.
 double mean(std::span<const double> xs);
-
-/// Sample variance (n-1); requires size >= 2.
-double variance(std::span<const double> xs);
-
-/// Linearly-interpolated quantile, q in [0, 1]; requires non-empty input.
-/// Sorts a copy; O(n log n).
-double quantile(std::span<const double> xs, double q);
-
-/// Pearson chi-square statistic of observed counts against expected counts.
-/// Bins with expected < 1e-12 are skipped. Sizes must match.
-double chi_square_statistic(std::span<const std::uint64_t> observed,
-                            std::span<const double> expected);
-
-/// Maximum absolute difference between two empirical CDF vectors
-/// (Kolmogorov-Smirnov distance on pre-binned data). Sizes must match.
-double ks_distance(std::span<const double> cdf_a, std::span<const double> cdf_b);
 
 /// Least-squares slope and intercept of y against x; requires >= 2 points
 /// and non-constant x. Used to estimate Zipf exponents from log-log data.

@@ -68,10 +68,6 @@ void SpanProfiler::set_event_recording(bool enabled) {
   events_enabled_.store(enabled, std::memory_order_relaxed);
 }
 
-bool SpanProfiler::event_recording() const {
-  return events_enabled_.load(std::memory_order_relaxed);
-}
-
 std::vector<SpanEvent> SpanProfiler::events() const {
   std::vector<SpanEvent> result;
   {

@@ -63,7 +63,6 @@ class SpanProfiler {
   /// (kMaxEventsPerShard; overflow counts into dropped_events()). Enabled
   /// by the CLI when a Perfetto export was requested.
   void set_event_recording(bool enabled);
-  bool event_recording() const;
 
   /// All recorded events merged across threads, sorted by
   /// (ts_ns, tid, path) — chronological, ties broken deterministically.

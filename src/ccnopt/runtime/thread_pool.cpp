@@ -49,11 +49,6 @@ std::uint64_t ThreadPool::tasks_executed() const {
   return tasks_executed_;
 }
 
-std::size_t ThreadPool::max_queue_depth() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return max_queue_depth_;
-}
-
 std::size_t ThreadPool::default_thread_count() {
   return std::max<std::size_t>(1, std::thread::hardware_concurrency());
 }

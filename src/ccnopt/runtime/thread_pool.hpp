@@ -47,8 +47,6 @@ class ThreadPool {
   // deterministic obs::metrics() domain.
   std::uint64_t tasks_submitted() const;
   std::uint64_t tasks_executed() const;
-  /// High-water mark of the queue length observed at enqueue time.
-  std::size_t max_queue_depth() const;
 
   /// Enqueues `fn` and returns a future for its result. If `fn` throws,
   /// the exception is captured and rethrown from future::get().

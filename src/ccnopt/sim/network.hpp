@@ -186,8 +186,6 @@ class CcnNetwork {
   std::size_t capacity_of(topology::NodeId id) const;
   std::size_t provisioned_x() const { return provisioned_x_; }
 
-  /// The bound strategy (resolved from config().strategy at construction).
-  const strategy::StrategyBundle& strategy_bundle() const { return bundle_; }
   /// The cached per-request descriptor serve() branches on — two enums and
   /// two scalars, never a virtual call (see strategy/strategy.hpp).
   const strategy::DataPlane& data_plane() const { return data_plane_; }

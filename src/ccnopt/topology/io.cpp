@@ -4,6 +4,7 @@
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
 
 #include "ccnopt/common/strings.hpp"
 
@@ -53,7 +54,10 @@ Expected<double> parse_double(const std::string& token, int line) {
   double value = 0.0;
   try {
     value = std::stod(token, &consumed);
-  } catch (const std::exception&) {
+  } catch (const std::out_of_range&) {
+    // Overflow, and underflow into the subnormals (e.g. 1e-320).
+    return parse_error(line, "number out of range: '" + token + "'");
+  } catch (const std::invalid_argument&) {
     return parse_error(line, "expected a number, got '" + token + "'");
   }
   if (consumed != token.size()) {

@@ -79,33 +79,13 @@ std::vector<std::uint32_t> bfs_hops(const Graph& g, NodeId source) {
 AllPairs all_pairs(const Graph& g) {
   const RouteTable routes(g);
   const std::size_t n = g.node_count();
-  AllPairs table{Matrix<double>(n, n)};
+  AllPairs table{n, std::vector<double>(n * n)};
   for (NodeId src = 0; src < n; ++src) {
     for (NodeId dst = 0; dst < n; ++dst) {
-      table.latency_ms(src, dst) = routes.route(src, dst).latency_ms;
+      table.latencies[src * n + dst] = routes.route(src, dst).latency_ms;
     }
   }
   return table;
-}
-
-Matrix<double> floyd_warshall_latency(const Graph& g) {
-  const std::size_t n = g.node_count();
-  Matrix<double> dist(n, n, kUnreachable);
-  for (std::size_t i = 0; i < n; ++i) dist(i, i) = 0.0;
-  for (const Graph::Link& link : g.links()) {
-    dist(link.u, link.v) = std::min(dist(link.u, link.v), link.latency_ms);
-    dist(link.v, link.u) = std::min(dist(link.v, link.u), link.latency_ms);
-  }
-  for (std::size_t k = 0; k < n; ++k) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (dist(i, k) >= kUnreachable) continue;
-      for (std::size_t j = 0; j < n; ++j) {
-        const double via = dist(i, k) + dist(k, j);
-        if (via < dist(i, j)) dist(i, j) = via;
-      }
-    }
-  }
-  return dist;
 }
 
 }  // namespace ccnopt::topology

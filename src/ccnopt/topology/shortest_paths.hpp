@@ -1,11 +1,11 @@
-// Shortest-path computations: latency-weighted Dijkstra, hop-count BFS,
-// an all-pairs latency table, and a Floyd-Warshall cross-check oracle.
+// Shortest-path computations: latency-weighted Dijkstra, hop-count BFS and
+// an all-pairs latency table.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "ccnopt/common/matrix.hpp"
+#include "ccnopt/common/assert.hpp"
 #include "ccnopt/topology/graph.hpp"
 
 namespace ccnopt::topology {
@@ -31,15 +31,17 @@ std::vector<std::uint32_t> bfs_hops(const Graph& g, NodeId source);
 std::vector<NodeId> extract_path(const SsspResult& sssp, NodeId source,
                                  NodeId target);
 
-/// All-pairs Dijkstra latencies (a RouteTable's latency column).
+/// All-pairs Dijkstra latencies (a RouteTable's latency column), row-major.
 struct AllPairs {
-  Matrix<double> latency_ms;
+  std::size_t nodes = 0;
+  std::vector<double> latencies;
+
+  double latency_ms(std::size_t src, std::size_t dst) const {
+    CCNOPT_EXPECTS(src < nodes && dst < nodes);
+    return latencies[src * nodes + dst];
+  }
 };
 AllPairs all_pairs(const Graph& g);
-
-/// Floyd-Warshall all-pairs latencies; O(V^3) oracle used by tests to
-/// validate Dijkstra.
-Matrix<double> floyd_warshall_latency(const Graph& g);
 
 /// Dijkstra avoiding blocked nodes (failure injection): blocked nodes are
 /// neither expanded nor relaxed into; a blocked source yields everything

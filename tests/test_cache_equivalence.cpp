@@ -24,7 +24,6 @@
 
 #include "ccnopt/cache/lfu.hpp"
 #include "ccnopt/cache/policy.hpp"
-#include "ccnopt/cache/reference.hpp"
 #include "ccnopt/common/random.hpp"
 #include "ccnopt/popularity/sampler.hpp"
 #include "ccnopt/popularity/zipf.hpp"
@@ -33,45 +32,33 @@
 namespace ccnopt::cache {
 namespace {
 
-std::uint64_t frequency_of(const CachePolicy& policy, ContentId id) {
-  if (const auto* flat = dynamic_cast<const LfuCache*>(&policy)) {
-    return flat->frequency(id);
-  }
-  if (const auto* ref = dynamic_cast<const ReferenceLfuCache*>(&policy)) {
-    return ref->frequency(id);
-  }
-  return 0;
-}
-
-/// One policy kind and capacity, built once per content index and fed the
-/// same requests in lock-step; each side keeps its own digest.
+/// One policy kind and capacity, built with the dense and with the sparse
+/// content index and fed the same requests in lock-step; each side keeps
+/// its own digest.
 class LockStep {
  public:
-  LockStep(PolicyKind kind, std::size_t capacity) : kind_(kind) {
-    sides_.push_back(make_policy(kind, capacity));
-    sides_.push_back(
-        make_policy(kind, capacity, 1, IndexSpec{IndexMode::kSparse, 0}));
-    sides_.push_back(make_reference_policy(kind, capacity));
-    hashes_.resize(sides_.size());
-  }
+  LockStep(PolicyKind kind, std::size_t capacity)
+      : kind_(kind),
+        dense_(make_policy(kind, capacity)),
+        sparse_(make_policy(kind, capacity, 1,
+                            IndexSpec{IndexMode::kSparse, 0})) {}
 
-  CachePolicy& dense() { return *sides_[0]; }
-  CachePolicy& sparse() { return *sides_[1]; }
+  CachePolicy& dense() { return *dense_; }
+  CachePolicy& sparse() { return *sparse_; }
 
   /// Admits `id` on both sides: hit, size() and contains(id) must agree.
   void admit(ContentId id) {
-    std::vector<bool> hits;
-    for (const auto& side : sides_) hits.push_back(side->admit(id));
-    for (std::size_t s = 0; s < sides_.size(); ++s) {
-      ASSERT_EQ(hits[s], hits[0]) << kSideNames[s] << " diverged at request "
-                                  << requests_ << " (id " << id << ")";
-      ASSERT_EQ(sides_[s]->size(), sides_[0]->size())
-          << kSideNames[s] << " after request " << requests_;
-      ASSERT_EQ(sides_[s]->contains(id), sides_[0]->contains(id))
-          << kSideNames[s] << " after request " << requests_;
-      hashes_[s].u64(hits[s] ? 1 : 0);
-      hashes_[s].u64(sides_[s]->size());
-    }
+    const bool dense_hit = dense_->admit(id);
+    const bool sparse_hit = sparse_->admit(id);
+    ASSERT_EQ(sparse_hit, dense_hit) << "sparse index diverged at request "
+                                     << requests_ << " (id " << id << ")";
+    ASSERT_EQ(sparse_->size(), dense_->size()) << "after request " << requests_;
+    ASSERT_EQ(sparse_->contains(id), dense_->contains(id))
+        << "after request " << requests_;
+    dense_hash_.u64(dense_hit ? 1 : 0);
+    dense_hash_.u64(dense_->size());
+    sparse_hash_.u64(sparse_hit ? 1 : 0);
+    sparse_hash_.u64(sparse_->size());
     ++requests_;
   }
 
@@ -84,48 +71,51 @@ class LockStep {
 
   /// Empties both sides; their stats carry on.
   void clear() {
-    for (const auto& side : sides_) {
-      side->clear();
-      ASSERT_EQ(side->size(), 0u);
-    }
+    dense_->clear();
+    sparse_->clear();
+    ASSERT_EQ(dense_->size(), 0u);
+    ASSERT_EQ(sparse_->size(), 0u);
   }
 
-  /// Folds the final stats and contents into each side's digest and
-  /// compares it with the committed line of `cell`.
-  void expect_golden(const std::string& cell) {
+  /// Both sides' digests, final stats and contents folded in, must equal
+  /// the committed line of `cell`.
+  void expect_golden(const std::string& cell) const {
     const std::string expected =
         golden::committed_digest(CCNOPT_CACHE_REPLAYS, cell);
-    for (std::size_t s = 0; s < sides_.size(); ++s) {
-      const CachePolicy& side = *sides_[s];
-      golden::Fnv1a& hash = hashes_[s];
-      const CacheStats stats = side.stats();
-      hash.u64(stats.hits);
-      hash.u64(stats.misses);
-      hash.u64(stats.insertions);
-      hash.u64(stats.evictions);
-      std::vector<ContentId> contents = side.contents();
-      if (kind_ == PolicyKind::kLfu) {
-        std::sort(contents.begin(), contents.end());
-      }
-      hash.u64(contents.size());
-      for (const ContentId id : contents) {
-        hash.u64(id);
-        if (kind_ == PolicyKind::kLfu) hash.u64(frequency_of(side, id));
-      }
-      EXPECT_EQ(golden::hex(hash.value()), expected)
-          << "cell " << cell << " (" << kSideNames[s]
-          << ") moved; its new line in tests/golden/cache_replays.txt "
-             "would be:\n"
-          << cell << " " << golden::hex(hash.value());
-    }
+    expect_digest(cell, "dense", *dense_, dense_hash_, expected);
+    expect_digest(cell, "sparse", *sparse_, sparse_hash_, expected);
   }
 
  private:
-  static constexpr const char* kSideNames[] = {"dense", "sparse",
-                                               "reference"};
+  void expect_digest(const std::string& cell, const char* side,
+                     const CachePolicy& policy, golden::Fnv1a hash,
+                     const std::string& expected) const {
+    const CacheStats stats = policy.stats();
+    hash.u64(stats.hits);
+    hash.u64(stats.misses);
+    hash.u64(stats.insertions);
+    hash.u64(stats.evictions);
+    std::vector<ContentId> contents = policy.contents();
+    if (kind_ == PolicyKind::kLfu) std::sort(contents.begin(), contents.end());
+    hash.u64(contents.size());
+    for (const ContentId id : contents) {
+      hash.u64(id);
+      if (kind_ == PolicyKind::kLfu) {
+        hash.u64(dynamic_cast<const LfuCache&>(policy).frequency(id));
+      }
+    }
+    EXPECT_EQ(golden::hex(hash.value()), expected)
+        << "cell " << cell << " (" << side
+        << ") moved; its new line in tests/golden/cache_replays.txt would "
+           "be:\n"
+        << cell << " " << golden::hex(hash.value());
+  }
+
   PolicyKind kind_;
-  std::vector<std::unique_ptr<CachePolicy>> sides_;
-  std::vector<golden::Fnv1a> hashes_;
+  std::unique_ptr<CachePolicy> dense_;
+  std::unique_ptr<CachePolicy> sparse_;
+  golden::Fnv1a dense_hash_;
+  golden::Fnv1a sparse_hash_;
   std::uint64_t requests_ = 0;
 };
 

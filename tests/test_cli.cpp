@@ -8,6 +8,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #ifndef CCNOPT_CLI_PATH
 #error "CCNOPT_CLI_PATH must be defined by the build"
@@ -144,6 +145,44 @@ TEST(Cli, SimulateAcceptsRegisteredStrategy) {
   EXPECT_EQ(result.exit_code, 0) << result.output;
   EXPECT_NE(result.output.find("strategy lcd"), std::string::npos);
   EXPECT_NE(result.output.find("origin="), std::string::npos);
+}
+
+TEST(Cli, SimulateOnPathStrategiesDefaultToLruAndDiffer) {
+  // Static partitions never admit, so on-path runs default to LRU; the
+  // three on-path strategies then place copies differently.
+  std::vector<std::string> tiers;
+  for (const char* strategy : {"lce", "lcd", "prob"}) {
+    const RunResult result = run_cli(
+        "simulate --topology=cernet --requests=20000 --seed=7 --strategy=" +
+        std::string(strategy));
+    EXPECT_EQ(result.exit_code, 0) << result.output;
+    EXPECT_NE(result.output.find("policy lru, strategy " +
+                                 std::string(strategy)),
+              std::string::npos)
+        << result.output;
+    EXPECT_EQ(result.output.find("network=0 "), std::string::npos)
+        << result.output;
+    tiers.push_back(result.output.substr(result.output.find("local=")));
+  }
+  EXPECT_NE(tiers[0], tiers[1]);
+  EXPECT_NE(tiers[1], tiers[2]);
+  EXPECT_NE(tiers[0], tiers[2]);
+}
+
+TEST(Cli, SimulateRejectsStaticPolicyWithOnPathStrategy) {
+  const RunResult result = run_cli(
+      "simulate --topology=abilene --requests=2000 --policy=static "
+      "--strategy=lcd");
+  EXPECT_NE(result.exit_code, 0);
+  EXPECT_NE(result.output.find("--policy=static"), std::string::npos)
+      << result.output;
+  EXPECT_NE(result.output.find("--strategy=lcd"), std::string::npos)
+      << result.output;
+  // Owner-table strategies keep static as their default and accept it.
+  const RunResult owner = run_cli(
+      "simulate --topology=abilene --x=20 --requests=2000 --catalog=2000 "
+      "--c=50 --policy=static --strategy=coop-degree");
+  EXPECT_EQ(owner.exit_code, 0) << owner.output;
 }
 
 TEST(Cli, SimulateDefaultsToCoordinatedSplitStrategy) {

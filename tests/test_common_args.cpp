@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <string>
+#include <vector>
+
+#include "ccnopt/common/random.hpp"
+
 namespace ccnopt {
 namespace {
 
@@ -85,6 +91,49 @@ TEST(ArgParser, EmptyCommandLine) {
   const auto parser = ArgParser::parse(1, argv.data());
   ASSERT_TRUE(parser.has_value());
   EXPECT_TRUE(parser->positional().empty());
+}
+
+TEST(ArgParser, SeededRandomArgvReadsBackCleanly) {
+  // 2,000 random command lines of up to 8 words from a fixed seed, over
+  // hostile tokens: "--", "=", empty words, repeated keys, dashes and
+  // non-UTF-8 bytes. parse() must return a parser or a Status; every key
+  // it kept must read back as text, and as a number or a kParseError;
+  // after that no key is unused.
+  static const char* const kTokens[] = {
+      "--",    "=",      "",         "--=",      "---",   "-",
+      "--a",   "--a=1",  "--a=",     "--a=x",    "--a==", "--a=nan",
+      "--b",   "--b=2",  "2",        "-3",       "pos",   "--=v",
+      "\x80", "\xc3\x28", "--\xff\xfe", "--k=\x80", "--a=1e400",
+      "--b=99999999999999999999"};
+  Rng rng(20261018);
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::vector<const char*> argv{"tool"};
+    const std::size_t words = rng.uniform_int(0, 8);
+    for (std::size_t w = 0; w < words; ++w) {
+      argv.push_back(kTokens[rng.uniform_int(0, std::size(kTokens) - 1)]);
+    }
+    const auto parsed =
+        ArgParser::parse(static_cast<int>(argv.size()), argv.data());
+    if (!parsed) {
+      EXPECT_EQ(parsed.status().code(), ErrorCode::kParseError)
+          << "trial " << trial;
+      continue;
+    }
+    EXPECT_LE(parsed->positional().size(), words) << "trial " << trial;
+    for (const std::string& key : parsed->unused_keys()) {
+      EXPECT_TRUE(parsed->has(key)) << "trial " << trial << " key " << key;
+      (void)parsed->get(key, "");
+      const auto number = parsed->get_double(key, 0.0);
+      if (!number) {
+        EXPECT_EQ(number.status().code(), ErrorCode::kParseError);
+      }
+      const auto integer = parsed->get_int(key, 0);
+      if (!integer) {
+        EXPECT_EQ(integer.status().code(), ErrorCode::kParseError);
+      }
+    }
+    EXPECT_TRUE(parsed->unused_keys().empty()) << "trial " << trial;
+  }
 }
 
 ArgReader reader(std::initializer_list<const char*> args) {

@@ -21,10 +21,7 @@
 // reviewed one-line diff of tests/golden/digests.txt; there is no update
 // flag.
 #include <algorithm>
-#include <bit>
 #include <cstdint>
-#include <cstdio>
-#include <fstream>
 #include <functional>
 #include <map>
 #include <memory>
@@ -50,33 +47,13 @@
 #include "ccnopt/sim/workload.hpp"
 #include "ccnopt/topology/datasets.hpp"
 #include "ccnopt/topology/generators.hpp"
+#include "golden.hpp"
 
 namespace ccnopt::sim {
 namespace {
 
-/// 64-bit FNV-1a. Integers are fed little-endian byte by byte, so the
-/// digest does not depend on the host's byte order.
-class Fnv1a {
- public:
-  void bytes(const std::string& text) {
-    u64(text.size());
-    for (const char c : text) byte(static_cast<unsigned char>(c));
-  }
-  void u64(std::uint64_t value) {
-    for (int i = 0; i < 8; ++i) {
-      byte(static_cast<unsigned char>(value >> (8 * i)));
-    }
-  }
-  void f64(double value) { u64(std::bit_cast<std::uint64_t>(value)); }
-  std::uint64_t value() const { return state_; }
-
- private:
-  void byte(unsigned char b) {
-    state_ ^= b;
-    state_ *= 1099511628211ULL;
-  }
-  std::uint64_t state_ = 14695981039346656037ULL;
-};
+using golden::Fnv1a;
+using golden::hex;
 
 void hash_report(Fnv1a& hash, const SimReport& report) {
   hash.u64(report.total_requests);
@@ -500,44 +477,13 @@ std::uint64_t replication_digest(const topology::Graph& graph,
   return hash.value();
 }
 
-std::string hex(std::uint64_t value) {
-  char text[17];
-  std::snprintf(text, sizeof text, "%016llx",
-                static_cast<unsigned long long>(value));
-  return text;
-}
-
-/// tests/golden/digests.txt as (cell name -> hex digest), in file order;
-/// '#' lines are comments.
-std::vector<std::pair<std::string, std::string>> committed_lines() {
-  std::ifstream in(CCNOPT_GOLDEN_DIGESTS);
-  EXPECT_TRUE(in.good()) << "cannot open " << CCNOPT_GOLDEN_DIGESTS;
-  std::vector<std::pair<std::string, std::string>> lines;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream fields(line);
-    std::string name;
-    std::string digest;
-    fields >> name >> digest;
-    lines.emplace_back(name, digest);
-  }
-  return lines;
-}
-
-std::string committed_digest(const std::string& name) {
-  for (const auto& [cell, digest] : committed_lines()) {
-    if (cell == name) return digest;
-  }
-  return "(missing)";
-}
-
 class GoldenDigest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(GoldenDigest, MatchesCommittedDigest) {
   const Cell& cell = cell_named(GetParam());
   const topology::Graph graph = cell_graph(cell.topology);
-  const std::string expected = committed_digest(cell.name);
+  const std::string expected =
+      golden::committed_digest(CCNOPT_GOLDEN_DIGESTS, cell.name);
 
   // Every way of running the cell must land on the committed digest.
   std::map<std::string, std::uint64_t> ways;
@@ -576,7 +522,8 @@ TEST(GoldenDigestFile, ListsEveryCellExactlyOnce) {
   std::set<std::string> seen;
   std::set<std::string> known;
   for (const Cell& cell : cells()) known.insert(cell.name);
-  for (const auto& [name, digest] : committed_lines()) {
+  for (const auto& [name, digest] :
+       golden::read_lines(CCNOPT_GOLDEN_DIGESTS)) {
     EXPECT_TRUE(seen.insert(name).second) << "duplicate line for " << name;
     EXPECT_TRUE(known.count(name) > 0) << "line for unknown cell " << name;
     EXPECT_EQ(digest.size(), 16u) << "malformed digest for " << name;

@@ -17,7 +17,8 @@ TEST(Linspace, EndpointsAndSpacing) {
 
 TEST(SweepAlpha, MonotoneNonDecreasing) {
   // Figure 4: l* grows with alpha.
-  const auto points = sweep_alpha(base(), linspace(0.05, 1.0, 20));
+  const auto points =
+      sweep(base(), SweepParameter::kAlpha, linspace(0.05, 1.0, 20));
   ASSERT_TRUE(points.has_value());
   ASSERT_EQ(points->size(), 20u);
   for (std::size_t i = 1; i < points->size(); ++i) {
@@ -29,7 +30,8 @@ TEST(SweepAlpha, MonotoneNonDecreasing) {
 
 TEST(SweepZipf, SkipsSingularPoint) {
   const auto points =
-      sweep_zipf(with_alpha(base(), 0.8), {0.5, 0.9, 1.0, 1.1, 1.5});
+      sweep(with_alpha(base(), 0.8), SweepParameter::kZipf,
+            {0.5, 0.9, 1.0, 1.1, 1.5});
   ASSERT_TRUE(points.has_value());
   EXPECT_EQ(points->size(), 4u);  // s = 1 dropped
   for (const SweepPoint& p : *points) EXPECT_NE(p.parameter, 1.0);
@@ -38,7 +40,8 @@ TEST(SweepZipf, SkipsSingularPoint) {
 TEST(SweepRouters, DecreasingForPartialAlpha) {
   // Figure 6: more routers -> higher total coordination cost -> lower l*.
   const auto points =
-      sweep_routers(with_alpha(base(), 0.6), {10.0, 50.0, 150.0, 400.0});
+      sweep(with_alpha(base(), 0.6), SweepParameter::kRouters,
+            {10.0, 50.0, 150.0, 400.0});
   ASSERT_TRUE(points.has_value());
   for (std::size_t i = 1; i < points->size(); ++i) {
     EXPECT_LE((*points)[i].ell_star, (*points)[i - 1].ell_star + 1e-9);
@@ -47,8 +50,8 @@ TEST(SweepRouters, DecreasingForPartialAlpha) {
 
 TEST(SweepUnitCost, DecreasingForSmallAlpha) {
   // Figure 7: costlier coordination -> lower l* when cost matters.
-  const auto points = sweep_unit_cost(with_alpha(base(), 0.3),
-                                      {10.0, 30.0, 60.0, 100.0});
+  const auto points = sweep(with_alpha(base(), 0.3), SweepParameter::kUnitCost,
+                            {10.0, 30.0, 60.0, 100.0});
   ASSERT_TRUE(points.has_value());
   for (std::size_t i = 1; i < points->size(); ++i) {
     EXPECT_LT((*points)[i].ell_star, (*points)[i - 1].ell_star);
@@ -58,7 +61,8 @@ TEST(SweepUnitCost, DecreasingForSmallAlpha) {
 TEST(SweepUnitCost, FlatAtAlphaOne) {
   // Figure 7: with alpha = 1 the cost term vanishes; l* must not move.
   const auto points =
-      sweep_unit_cost(with_alpha(base(), 1.0), {10.0, 50.0, 100.0});
+      sweep(with_alpha(base(), 1.0), SweepParameter::kUnitCost,
+            {10.0, 50.0, 100.0});
   ASSERT_TRUE(points.has_value());
   EXPECT_NEAR((*points)[0].ell_star, (*points)[2].ell_star, 1e-9);
 }
@@ -66,7 +70,8 @@ TEST(SweepUnitCost, FlatAtAlphaOne) {
 TEST(SweepGamma, IncreasingCoordination) {
   // Figure 4's series ordering: higher gamma -> higher l* at fixed alpha.
   const auto points =
-      sweep_gamma(with_alpha(base(), 0.6), {2.0, 4.0, 6.0, 8.0, 10.0});
+      sweep(with_alpha(base(), 0.6), SweepParameter::kGamma,
+            {2.0, 4.0, 6.0, 8.0, 10.0});
   ASSERT_TRUE(points.has_value());
   for (std::size_t i = 1; i < points->size(); ++i) {
     EXPECT_GT((*points)[i].ell_star, (*points)[i - 1].ell_star);
@@ -74,12 +79,12 @@ TEST(SweepGamma, IncreasingCoordination) {
 }
 
 TEST(Sweep, AllValuesInvalidFails) {
-  const auto points = sweep_zipf(base(), {1.0});
+  const auto points = sweep(base(), SweepParameter::kZipf, {1.0});
   EXPECT_FALSE(points.has_value());
 }
 
 TEST(SweepPoints, CarryGainsConsistentWithEll) {
-  const auto points = sweep_alpha(base(), {0.3, 0.9});
+  const auto points = sweep(base(), SweepParameter::kAlpha, {0.3, 0.9});
   ASSERT_TRUE(points.has_value());
   // Higher alpha -> more coordination -> strictly better gains.
   EXPECT_GT((*points)[1].origin_load_reduction,
@@ -89,7 +94,8 @@ TEST(SweepPoints, CarryGainsConsistentWithEll) {
 }
 
 TEST(SensitiveRange, DetectsTransitionWindow) {
-  const auto points = sweep_alpha(base(), linspace(0.02, 1.0, 100));
+  const auto points =
+      sweep(base(), SweepParameter::kAlpha, linspace(0.02, 1.0, 100));
   ASSERT_TRUE(points.has_value());
   const auto range = sensitive_range(*points);
   ASSERT_TRUE(range.has_value());
@@ -134,8 +140,10 @@ TEST(MaxSensitivity, HigherGammaShiftsSensitivityEarlier) {
   // The stability phenomenon of Section V-B1: the alpha window where l*
   // swings fastest moves with gamma.
   const auto grid = linspace(0.02, 1.0, 200);
-  const auto low_gamma = sweep_alpha(with_gamma(base(), 2.0), grid);
-  const auto high_gamma = sweep_alpha(with_gamma(base(), 10.0), grid);
+  const auto low_gamma =
+      sweep(with_gamma(base(), 2.0), SweepParameter::kAlpha, grid);
+  const auto high_gamma =
+      sweep(with_gamma(base(), 10.0), SweepParameter::kAlpha, grid);
   ASSERT_TRUE(low_gamma.has_value());
   ASSERT_TRUE(high_gamma.has_value());
   // gamma = 2 tops out around l* ~ 0.82 at alpha = 1, so probe the

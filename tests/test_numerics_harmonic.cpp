@@ -53,28 +53,6 @@ TEST(HarmonicDispatch, ThresholdRouting) {
   EXPECT_DOUBLE_EQ(harmonic(0, 0.8), 0.0);
 }
 
-TEST(HarmonicIntegral, ClosedFormAgainstPow) {
-  EXPECT_NEAR(harmonic_integral(10.0, 0.5),
-              (std::pow(10.0, 0.5) - 1.0) / 0.5, 1e-12);
-  EXPECT_NEAR(harmonic_integral(10.0, 2.0), (std::pow(10.0, -1.0) - 1.0) / -1.0,
-              1e-12);
-}
-
-TEST(HarmonicIntegral, LogFormAtSEqualOne) {
-  EXPECT_NEAR(harmonic_integral(std::exp(1.0), 1.0), 1.0, 1e-12);
-  EXPECT_DOUBLE_EQ(harmonic_integral(1.0, 1.0), 0.0);
-}
-
-TEST(HarmonicIntegral, DerivativeIsPowerLaw) {
-  EXPECT_NEAR(harmonic_integral_derivative(4.0, 0.5), 0.5, 1e-15);
-  // Finite-difference cross-check.
-  const double h = 1e-6;
-  const double fd =
-      (harmonic_integral(5.0 + h, 0.8) - harmonic_integral(5.0 - h, 0.8)) /
-      (2 * h);
-  EXPECT_NEAR(harmonic_integral_derivative(5.0, 0.8), fd, 1e-8);
-}
-
 TEST(HarmonicTable, MatchesExact) {
   const HarmonicTable table(1000, 0.8);
   EXPECT_DOUBLE_EQ(table.at(0), 0.0);

@@ -3,16 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 namespace ccnopt::numerics {
 namespace {
 
-// The three solvers share a contract; exercise each against the same
-// catalogue of functions via a parameterized suite.
+// The solver's contract, exercised against a catalogue of functions.
 struct SolverCase {
   const char* name;
   Fn f;
-  Fn df;
   double lo;
   double hi;
   double root;
@@ -20,121 +20,83 @@ struct SolverCase {
 
 std::vector<SolverCase> cases() {
   return {
-      {"linear", [](double x) { return 2.0 * x - 3.0; },
-       [](double) { return 2.0; }, 0.0, 5.0, 1.5},
-      {"quadratic", [](double x) { return x * x - 2.0; },
-       [](double x) { return 2.0 * x; }, 0.0, 2.0, std::sqrt(2.0)},
-      {"cubic", [](double x) { return x * x * x - x - 2.0; },
-       [](double x) { return 3.0 * x * x - 1.0; }, 1.0, 2.0,
+      {"linear", [](double x) { return 2.0 * x - 3.0; }, 0.0, 5.0, 1.5},
+      {"quadratic", [](double x) { return x * x - 2.0; }, 0.0, 2.0,
+       std::sqrt(2.0)},
+      {"cubic", [](double x) { return x * x * x - x - 2.0; }, 1.0, 2.0,
        1.5213797068045676},
-      {"transcendental", [](double x) { return std::cos(x) - x; },
-       [](double x) { return -std::sin(x) - 1.0; }, 0.0, 1.0,
+      {"transcendental", [](double x) { return std::cos(x) - x; }, 0.0, 1.0,
        0.7390851332151607},
-      {"steep", [](double x) { return std::pow(x, -0.8) - 10.0; },
-       [](double x) { return -0.8 * std::pow(x, -1.8); }, 1e-6, 1.0,
+      {"steep", [](double x) { return std::pow(x, -0.8) - 10.0; }, 1e-6, 1.0,
        std::pow(10.0, -1.25)},
   };
 }
 
+// One instance, named after the solver, so the suite's test names read
+// AllSolvers/RootSolvers.<Test>/brent.
 class RootSolvers : public ::testing::TestWithParam<int> {};
 
-Expected<RootResult> solve(int solver, const SolverCase& c) {
-  switch (solver) {
-    case 0:
-      return bisect(c.f, c.lo, c.hi);
-    case 1:
-      return brent(c.f, c.lo, c.hi);
-    default:
-      return newton_safeguarded(c.f, c.df, c.lo, c.hi);
-  }
+Expected<RootResult> solve(const SolverCase& c) {
+  return brent(c.f, c.lo, c.hi);
 }
 
 TEST_P(RootSolvers, FindsKnownRoots) {
   for (const SolverCase& c : cases()) {
-    const auto result = solve(GetParam(), c);
+    const auto result = solve(c);
     ASSERT_TRUE(result.has_value()) << c.name;
     EXPECT_NEAR(result->root, c.root, 1e-8) << c.name;
   }
 }
 
 TEST_P(RootSolvers, RejectsNonBracketingInterval) {
-  const auto result = solve(GetParam(), {"nobracket",
+  const auto result = solve({"nobracket",
                                          [](double x) { return x * x + 1.0; },
-                                         [](double x) { return 2.0 * x; },
-                                         -1.0,
-                                         1.0,
-                                         0.0});
+                                         -1.0, 1.0, 0.0});
   EXPECT_FALSE(result.has_value());
   EXPECT_EQ(result.status().code(), ErrorCode::kInvalidArgument);
 }
 
 TEST_P(RootSolvers, RejectsInvertedInterval) {
-  const auto result = solve(GetParam(), {"inverted",
-                                         [](double x) { return x; },
-                                         [](double) { return 1.0; },
-                                         1.0,
-                                         -1.0,
-                                         0.0});
+  const auto result = solve({"inverted",
+                                         [](double x) { return x; }, 1.0,
+                                         -1.0, 0.0});
   EXPECT_FALSE(result.has_value());
 }
 
 TEST_P(RootSolvers, RootAtEndpointReturnsImmediately) {
-  const SolverCase c{"endpoint", [](double x) { return x - 1.0; },
-                     [](double) { return 1.0; }, 1.0, 2.0, 1.0};
-  const auto result = solve(GetParam(), c);
+  const SolverCase c{"endpoint", [](double x) { return x - 1.0; }, 1.0, 2.0,
+                     1.0};
+  const auto result = solve(c);
   ASSERT_TRUE(result.has_value());
   EXPECT_DOUBLE_EQ(result->root, 1.0);
   EXPECT_EQ(result->iterations, 0);
 }
 
-std::string solver_name(const ::testing::TestParamInfo<int>& param_info) {
-  static const char* const kNames[] = {"bisect", "brent", "newton"};
-  return kNames[param_info.param];
-}
-
-INSTANTIATE_TEST_SUITE_P(AllSolvers, RootSolvers, ::testing::Values(0, 1, 2),
-                         solver_name);
+INSTANTIATE_TEST_SUITE_P(AllSolvers, RootSolvers, ::testing::Values(1),
+                         [](const auto&) { return std::string("brent"); });
 
 TEST(Brent, ConvergesFasterThanBisection) {
+  // Bisection halves [0, 1] until it is narrower than x_tolerance:
+  // ceil(log2((hi - lo) / x_tolerance)) = 40 steps at the default 1e-12.
+  const RootOptions options;
+  const int bisection_steps =
+      static_cast<int>(std::ceil(std::log2(1.0 / options.x_tolerance)));
   const Fn f = [](double x) { return std::cos(x) - x; };
-  const auto via_brent = brent(f, 0.0, 1.0);
-  const auto via_bisect = bisect(f, 0.0, 1.0);
+  const auto via_brent = brent(f, 0.0, 1.0, options);
   ASSERT_TRUE(via_brent.has_value());
-  ASSERT_TRUE(via_bisect.has_value());
-  EXPECT_LT(via_brent->iterations, via_bisect->iterations);
-}
-
-TEST(Newton, FlatDerivativeFallsBackToBisection) {
-  // df = 0 at the midpoint start: the safeguard must not divide by zero.
-  const Fn f = [](double x) { return x * x * x - 0.001; };
-  const Fn df = [](double x) { return 3.0 * x * x; };
-  const auto result = newton_safeguarded(f, df, -1.0, 1.0);
-  ASSERT_TRUE(result.has_value());
-  EXPECT_NEAR(result->root, 0.1, 1e-6);
-}
-
-TEST(ExpandBracket, GrowsUntilSignChange) {
-  const Fn f = [](double x) { return x - 10.0; };
-  const auto bracket = expand_bracket(f, 0.0, 1.0, -100.0, 100.0);
-  ASSERT_TRUE(bracket.has_value());
-  EXPECT_LE(bracket->first, 10.0);
-  EXPECT_GE(bracket->second, 10.0);
-}
-
-TEST(ExpandBracket, FailsWhenNoRootInLimits) {
-  const Fn f = [](double x) { return x * x + 1.0; };
-  const auto bracket = expand_bracket(f, -1.0, 1.0, -10.0, 10.0);
-  EXPECT_FALSE(bracket.has_value());
-  EXPECT_EQ(bracket.status().code(), ErrorCode::kNumericalFailure);
+  EXPECT_LT(via_brent->iterations, bisection_steps);
 }
 
 TEST(RootOptions, FToleranceStopsEarly) {
-  const Fn f = [](double x) { return x; };
+  const Fn f = [](double x) { return x * x * x - 2.0; };
   RootOptions options;
   options.f_tolerance = 0.25;
-  const auto result = bisect(f, -1.0, 3.0, options);
+  const auto result = brent(f, -1.0, 3.0, options);
+  const auto full = brent(f, -1.0, 3.0);
   ASSERT_TRUE(result.has_value());
+  ASSERT_TRUE(full.has_value());
   EXPECT_LE(std::abs(result->f_at_root), 0.25);
+  EXPECT_LT(result->iterations, full->iterations);
 }
 
 }  // namespace

@@ -200,43 +200,6 @@ TEST(Mean, Basic) {
   EXPECT_DOUBLE_EQ(mean(xs), 2.0);
 }
 
-TEST(Variance, MatchesRunningStats) {
-  const std::vector<double> xs = {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
-  EXPECT_NEAR(variance(xs), 32.0 / 7.0, 1e-12);
-}
-
-TEST(Quantile, InterpolatesLinearly) {
-  const std::vector<double> xs = {3.0, 1.0, 2.0, 4.0};  // unsorted input
-  EXPECT_DOUBLE_EQ(quantile(xs, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(quantile(xs, 1.0), 4.0);
-  EXPECT_DOUBLE_EQ(quantile(xs, 0.5), 2.5);
-  EXPECT_DOUBLE_EQ(quantile(xs, 1.0 / 3.0), 2.0);
-}
-
-TEST(ChiSquare, ZeroWhenObservedMatchesExpected) {
-  const std::vector<std::uint64_t> observed = {10, 20, 30};
-  const std::vector<double> expected = {10.0, 20.0, 30.0};
-  EXPECT_DOUBLE_EQ(chi_square_statistic(observed, expected), 0.0);
-}
-
-TEST(ChiSquare, KnownValue) {
-  const std::vector<std::uint64_t> observed = {12, 8};
-  const std::vector<double> expected = {10.0, 10.0};
-  EXPECT_DOUBLE_EQ(chi_square_statistic(observed, expected), 0.8);
-}
-
-TEST(ChiSquare, SkipsEmptyBins) {
-  const std::vector<std::uint64_t> observed = {5, 0};
-  const std::vector<double> expected = {5.0, 0.0};
-  EXPECT_DOUBLE_EQ(chi_square_statistic(observed, expected), 0.0);
-}
-
-TEST(KsDistance, MaxAbsoluteGap) {
-  const std::vector<double> a = {0.1, 0.5, 1.0};
-  const std::vector<double> b = {0.2, 0.4, 1.0};
-  EXPECT_DOUBLE_EQ(ks_distance(a, b), 0.1);
-}
-
 TEST(LinearFit, RecoversExactLine) {
   const std::vector<double> x = {1.0, 2.0, 3.0, 4.0};
   const std::vector<double> y = {3.0, 5.0, 7.0, 9.0};  // y = 2x + 1

@@ -337,12 +337,12 @@ TEST(Theorem2, OppositeStrategiesAcrossTheSingularPoint) {
   // "different ranges of the Zipf exponent can lead to opposite optimal
   // strategies": s in (0,1) -> full coordination as n grows; s in (1,2) ->
   // none.
-  const auto below = model::sweep_routers(
+  const auto below = model::sweep(
       model::with_alpha(model::with_zipf(base(), 0.6), 1.0),
-      {20.0, 100.0, 500.0});
-  const auto above = model::sweep_routers(
+      model::SweepParameter::kRouters, {20.0, 100.0, 500.0});
+  const auto above = model::sweep(
       model::with_alpha(model::with_zipf(base(), 1.5), 1.0),
-      {20.0, 100.0, 500.0});
+      model::SweepParameter::kRouters, {20.0, 100.0, 500.0});
   ASSERT_TRUE(below.has_value());
   ASSERT_TRUE(above.has_value());
   EXPECT_GT((*below).back().ell_star, 0.97);

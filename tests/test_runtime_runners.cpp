@@ -28,7 +28,7 @@ void expect_same_points(const std::vector<model::SweepPoint>& a,
 TEST(SweepRunner, MatchesSerialSweepBitForBit) {
   const auto base = model::SystemParams::paper_defaults();
   const auto grid = model::linspace(0.05, 1.0, 40);
-  const auto serial = model::sweep_alpha(base, grid);
+  const auto serial = model::sweep(base, model::SweepParameter::kAlpha, grid);
   ASSERT_TRUE(serial.has_value());
   ThreadPool pool(8);
   const auto parallel =
@@ -58,7 +58,7 @@ TEST(SweepRunner, SkipsInvalidValuesLikeTheSerialSweep) {
   ThreadPool pool(4);
   const auto parallel =
       SweepRunner(pool).run(base, model::SweepParameter::kZipf, grid);
-  const auto serial = model::sweep_zipf(base, grid);
+  const auto serial = model::sweep(base, model::SweepParameter::kZipf, grid);
   ASSERT_TRUE(parallel.has_value());
   ASSERT_TRUE(serial.has_value());
   EXPECT_EQ(parallel->size(), 4u);

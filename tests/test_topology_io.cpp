@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <cstdint>
+#include <iterator>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "ccnopt/common/random.hpp"
 #include "ccnopt/topology/datasets.hpp"
 #include "ccnopt/topology/generators.hpp"
 
@@ -71,6 +78,11 @@ TEST(EdgeList, ParseErrorsCarryLineNumbers) {
       {"node a 0 -inf\n", "line 1: coordinates"},
       {"node a 0 0\nnode b 90.5 0\n", "line 2: coordinates"},
       {"node a 0 180.5\n", "line 1: coordinates"},
+      {"node a 0 0\nnode b 1 1\nedge a b 1e-320\n",
+       "line 3: number out of range: '1e-320'"},
+      {"node a 0 0\nnode b 1 1\nedge a b 1e400\n",
+       "line 3: number out of range: '1e400'"},
+      {"node a 1e400 0\n", "line 1: number out of range: '1e400'"},
   };
   for (const Case& c : cases) {
     const auto graph = read_edge_list_string(c.text);
@@ -98,6 +110,85 @@ TEST(EdgeList, EmptyInputIsAnEmptyGraph) {
   const auto graph = read_edge_list_string("");
   ASSERT_TRUE(graph.has_value());
   EXPECT_EQ(graph->node_count(), 0u);
+}
+
+/// [begin, end) of every whitespace-separated token of `text`.
+std::vector<std::pair<std::size_t, std::size_t>> token_spans(
+    const std::string& text) {
+  std::vector<std::pair<std::size_t, std::size_t>> spans;
+  std::size_t i = 0;
+  while (i < text.size()) {
+    while (i < text.size() &&
+           std::isspace(static_cast<unsigned char>(text[i]))) {
+      ++i;
+    }
+    const std::size_t begin = i;
+    while (i < text.size() &&
+           !std::isspace(static_cast<unsigned char>(text[i]))) {
+      ++i;
+    }
+    if (i > begin) spans.emplace_back(begin, i);
+  }
+  return spans;
+}
+
+/// One random edit of `text`: a flipped bit, a truncation, a duplicated or
+/// dropped token, or a token replaced by a hostile number.
+void mutate(std::string& text, Rng& rng) {
+  static const char* const kNumbers[] = {
+      "1e400", "-1e400", "1e-320", "nan",  "-nan", "inf", "",
+      "1e",    ".",      "-",      "0x1p3", "99999999999999999999999"};
+  if (text.empty()) return;
+  const auto spans = token_spans(text);
+  const std::size_t op = rng.uniform_int(0, 4);
+  if (op == 0 || spans.empty()) {
+    const std::size_t at = rng.uniform_int(0, text.size() - 1);
+    text[at] = static_cast<char>(text[at] ^ (1u << rng.uniform_int(0, 7)));
+    return;
+  }
+  if (op == 1) {
+    text.resize(rng.uniform_int(0, text.size() - 1));
+    return;
+  }
+  const auto [begin, end] = spans[rng.uniform_int(0, spans.size() - 1)];
+  if (op == 2) {
+    const std::string copy = text.substr(begin, end - begin);
+    text.insert(end, 1, ' ');
+    text.insert(end + 1, copy);
+  } else if (op == 3) {
+    text.erase(begin, end - begin);
+  } else {
+    text.replace(begin, end - begin,
+                 kNumbers[rng.uniform_int(0, std::size(kNumbers) - 1)]);
+  }
+}
+
+TEST(EdgeList, SeededMutationsFailCleanly) {
+  // 2,000 mutants of a valid file, 1-4 edits each, from a fixed seed. Each
+  // must parse to a Graph or fail with a line-numbered kParseError; none
+  // may abort.
+  std::ostringstream out;
+  write_edge_list(abilene(), out);
+  const std::string valid = out.str();
+  Rng rng(20261018);
+  int parsed = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::string text = valid;
+    const std::size_t edits = rng.uniform_int(1, 4);
+    for (std::size_t e = 0; e < edits; ++e) mutate(text, rng);
+    const auto graph = read_edge_list_string(text);
+    if (graph) {
+      ++parsed;
+      continue;
+    }
+    EXPECT_EQ(graph.status().code(), ErrorCode::kParseError)
+        << "trial " << trial << ": " << graph.status().message();
+    EXPECT_EQ(graph.status().message().rfind("line ", 0), 0u)
+        << "trial " << trial << ": " << graph.status().message();
+  }
+  // The edits must reach both outcomes, or the harness tests nothing.
+  EXPECT_GT(parsed, 0);
+  EXPECT_LT(parsed, 2000);
 }
 
 TEST(Dot, ContainsEveryNodeAndLink) {

@@ -12,7 +12,9 @@
 //
 // --strategy picks a registered caching strategy (coordinated-split, lce,
 // lcd, prob, prob-cap, coop-degree, ...); an unknown name fails with the
-// full registered list.
+// full registered list. --policy defaults to static, and to lru for the
+// on-path strategies (lce, lcd, prob, prob-cap): static partitions never
+// admit, so an on-path strategy with --policy=static is rejected.
 //
 // --threads defaults to the hardware concurrency; results are bit-identical
 // for any thread count (deterministic seeding + ordered reduction).
@@ -393,8 +395,26 @@ int cmd_simulate(const ArgParser& args) {
   const std::string topo_path = args.get("topo-out", "");
   config.record_topo = want_topo;
 
-  const std::string policy = args.get("policy", "static");
+  const std::string strategy_name = args.get("strategy", "coordinated-split");
+  // Resolve through the registry so an unknown name fails with the full
+  // list of registered strategies rather than an opaque error.
+  const auto bundle = strategy::make_strategy(strategy_name);
+  if (!bundle) return fail(bundle.status());
+  config.network.strategy = strategy_name;
+  // On-path strategies place copies through the local policy's admit(),
+  // which a static partition never does.
+  const bool on_path =
+      bundle->data_plane().forwarding == strategy::ForwardingMode::kOnPath;
+
+  const std::string policy = args.get("policy", on_path ? "lru" : "static");
   if (policy == "static") {
+    if (on_path) {
+      return fail(Status(ErrorCode::kInvalidArgument,
+                         "--policy=static never admits, so --strategy=" +
+                             strategy_name +
+                             " would place no copy; use "
+                             "--policy=lru|lfu|fifo|random"));
+    }
     config.network.local_mode = sim::LocalStoreMode::kStaticTop;
   } else if (policy == "lru") {
     config.network.local_mode = sim::LocalStoreMode::kLru;
@@ -412,15 +432,6 @@ int cmd_simulate(const ArgParser& args) {
     return fail(Status(ErrorCode::kInvalidArgument,
                        "--policy must be static|lru|lfu|fifo|random"));
   }
-
-  const std::string strategy_name = args.get("strategy", "coordinated-split");
-  {
-    // Resolve through the registry so an unknown name fails with the full
-    // list of registered strategies rather than an opaque error.
-    const auto bundle = strategy::make_strategy(strategy_name);
-    if (!bundle) return fail(bundle.status());
-  }
-  config.network.strategy = strategy_name;
 
   const auto replications = args.get_int("replications", 1);
   if (!replications) return fail(replications.status());

@@ -3,12 +3,12 @@
 # sparse index, the cache policies layered on it, the Zipf samplers, the
 # strategy subsystem driving the data plane, the topology-resolved
 # flight recorder fed from the serve hot path, the route table's search
-# kernels, the topology edge-list parser on malformed input, and the
-# sharded request engine) under AddressSanitizer +
-# UndefinedBehaviorSanitizer, then the concurrency-critical shard suites
-# again under ThreadSanitizer — the sharded engine mutates shared cache
-# stores from pool threads, so TSan is the proof that the router
-# partition really is race-free.
+# kernels, the topology edge-list parser and the argument parser on
+# malformed and seeded random input, and the sharded request engine)
+# under AddressSanitizer + UndefinedBehaviorSanitizer, then the
+# concurrency-critical shard suites again under ThreadSanitizer — the
+# sharded engine mutates shared cache stores from pool threads, so TSan is
+# the proof that the router partition really is race-free.
 #
 # Usage: run_sanitized_tests.sh <source-dir> <build-dir>
 #
@@ -41,6 +41,7 @@ TARGETS=(
   test_sim_window_order
   test_topology_route_table
   test_topology_io
+  test_common_args
   test_golden_digests
   test_runtime_shard_scheduler
 )

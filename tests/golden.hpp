@@ -74,4 +74,14 @@ inline std::string committed_digest(const char* path, const std::string& cell) {
   return "(missing)";
 }
 
+/// Expects `digest` to be the committed line of `cell` in `path`; on a
+/// mismatch the failure prints the replacement line.
+inline void expect_committed(const char* path, const std::string& cell,
+                             std::uint64_t digest) {
+  EXPECT_EQ(hex(digest), committed_digest(path, cell))
+      << "cell " << cell << " moved; its new line in " << path
+      << " would be:\n"
+      << cell << " " << hex(digest);
+}
+
 }  // namespace ccnopt::golden

@@ -1,8 +1,11 @@
 #include "ccnopt/topology/generators.hpp"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "ccnopt/topology/shortest_paths.hpp"
+#include "golden.hpp"
 
 namespace ccnopt::topology {
 namespace {
@@ -94,6 +97,26 @@ TEST(Waxman, DeterministicGivenSeed) {
   for (std::size_t i = 0; i < ga.links().size(); ++i) {
     EXPECT_EQ(ga.links()[i].u, gb.links()[i].u);
     EXPECT_EQ(ga.links()[i].v, gb.links()[i].v);
+  }
+}
+
+TEST(Waxman, LinkListsMatchGolden) {
+  // perfbench's 1000-node graph and the route-table tests' 300-node one:
+  // every link and the bits of its latency are pinned.
+  for (const std::size_t n : {std::size_t{300}, std::size_t{1000}}) {
+    Rng rng(n);
+    const Graph g = make_waxman(n, rng);
+    golden::Fnv1a hash;
+    hash.u64(g.node_count());
+    hash.u64(g.links().size());
+    for (const Graph::Link& link : g.links()) {
+      hash.u64(link.u);
+      hash.u64(link.v);
+      hash.f64(link.latency_ms);
+    }
+    golden::expect_committed(CCNOPT_TOPOLOGY_GOLDEN,
+                             "waxman" + std::to_string(n) + "/links",
+                             hash.value());
   }
 }
 

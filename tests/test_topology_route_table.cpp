@@ -2,7 +2,9 @@
 // are the edges of that Dijkstra's path), the link ids adjacency entries
 // carry, and build determinism across worker counts.
 #include <algorithm>
+#include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,6 +15,7 @@
 #include "ccnopt/topology/datasets.hpp"
 #include "ccnopt/topology/generators.hpp"
 #include "ccnopt/topology/route_table.hpp"
+#include "golden.hpp"
 
 namespace ccnopt::topology {
 namespace {
@@ -148,6 +151,21 @@ std::vector<unsigned char> table_bytes(const RouteTable& table) {
   return bytes;
 }
 
+/// FNV-1a-64 over every Route's latency bits, hops and parent link, rows
+/// in source order.
+std::uint64_t routes_digest(const RouteTable& table) {
+  golden::Fnv1a hash;
+  hash.u64(table.node_count());
+  for (NodeId src = 0; src < table.node_count(); ++src) {
+    for (const Route& route : table.row(src)) {
+      hash.f64(route.latency_ms);
+      hash.u64(route.hops);
+      hash.u64(route.parent_link);
+    }
+  }
+  return hash.value();
+}
+
 TEST(RouteTable, BuildsOnOneAndFourWorkersAreByteIdentical) {
   const Graph g = waxman300();
   runtime::ThreadPool one(1);
@@ -155,6 +173,12 @@ TEST(RouteTable, BuildsOnOneAndFourWorkersAreByteIdentical) {
   const auto serial = table_bytes(RouteTable(g));
   EXPECT_EQ(table_bytes(*runtime::build_route_table(one, g)), serial);
   EXPECT_EQ(table_bytes(*runtime::build_route_table(four, g)), serial);
+  for (const std::size_t n : {std::size_t{300}, std::size_t{1000}}) {
+    Rng rng(n);
+    golden::expect_committed(CCNOPT_TOPOLOGY_GOLDEN,
+                             "waxman" + std::to_string(n) + "/routes",
+                             routes_digest(RouteTable(make_waxman(n, rng))));
+  }
 }
 
 }  // namespace

@@ -68,6 +68,12 @@ Expected<double> ArgParser::get_double(const std::string& key,
     return Status(ErrorCode::kParseError,
                   "--" + key + " expects a number, got '" + it->second + "'");
   }
+  // strtod reads "nan" and "inf", and overflows to infinity.
+  if (!std::isfinite(value)) {
+    return Status(ErrorCode::kParseError,
+                  "--" + key + " expects a finite number, got '" +
+                      it->second + "'");
+  }
   return value;
 }
 

@@ -25,7 +25,8 @@ class ArgParser {
   /// String value of --key, or `fallback` when absent.
   std::string get(const std::string& key, const std::string& fallback) const;
 
-  /// Numeric value of --key; kParseError on malformed numbers.
+  /// Numeric value of --key; kParseError on malformed or non-finite
+  /// numbers (nan, inf, and overflow such as 1e400).
   Expected<double> get_double(const std::string& key, double fallback) const;
   Expected<std::int64_t> get_int(const std::string& key,
                                  std::int64_t fallback) const;

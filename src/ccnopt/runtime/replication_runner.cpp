@@ -1,11 +1,14 @@
 #include "ccnopt/runtime/replication_runner.hpp"
 
+#include <memory>
+
 #include "ccnopt/common/assert.hpp"
 #include "ccnopt/common/random.hpp"
 #include "ccnopt/numerics/stats.hpp"
 #include "ccnopt/obs/registry.hpp"
 #include "ccnopt/obs/span.hpp"
 #include "ccnopt/runtime/parallel.hpp"
+#include "ccnopt/topology/route_table.hpp"
 
 namespace ccnopt::runtime {
 namespace {
@@ -25,18 +28,6 @@ MetricSummary summarize(const std::vector<sim::SimReport>& reports,
 
 }  // namespace
 
-std::shared_ptr<const topology::RouteTable> build_route_table(
-    ThreadPool& pool, const topology::Graph& graph) {
-  const obs::ScopedSpan span("replication.route_table");
-  return std::make_shared<const topology::RouteTable>(
-      graph, std::vector<bool>{},
-      [&pool](std::size_t blocks,
-              const std::function<void(std::size_t)>& body) {
-        // One task per block, so uneven rows still balance.
-        parallel_for(pool, blocks, body, blocks);
-      });
-}
-
 ReplicationSummary ReplicationRunner::run(const topology::Graph& graph,
                                           const sim::SimConfig& base,
                                           std::size_t replications) const {
@@ -49,8 +40,11 @@ ReplicationSummary ReplicationRunner::run(const topology::Graph& graph,
   std::vector<obs::TraceBuffer> trace_slots(replications);
   std::vector<obs::Timeline> timeline_slots(replications);
   std::vector<obs::TopoRecorder> topo_slots(replications);
-  const std::shared_ptr<const topology::RouteTable> routes =
-      build_route_table(pool_, graph);
+  // One table for every replication, its blocks built on all cores.
+  const auto routes = [&graph] {
+    const obs::ScopedSpan route_span("replication.route_table");
+    return std::make_shared<const topology::RouteTable>(graph);
+  }();
   parallel_for(pool_, replications, [&](std::size_t i) {
     const obs::ScopedSpan sim_span("replication.sim");
     sim::SimConfig config = base;

@@ -9,14 +9,12 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <vector>
 
 #include "ccnopt/obs/trace.hpp"
 #include "ccnopt/runtime/thread_pool.hpp"
 #include "ccnopt/sim/simulation.hpp"
 #include "ccnopt/topology/graph.hpp"
-#include "ccnopt/topology/route_table.hpp"
 
 namespace ccnopt::runtime {
 
@@ -55,19 +53,13 @@ struct ReplicationSummary {
   std::size_t replications() const { return reports.size(); }
 };
 
-/// The RouteTable of `graph` with every router alive, its source blocks
-/// built across `pool`: the table every replication of a sweep shares.
-/// Byte-identical to a serial build at any thread count.
-std::shared_ptr<const topology::RouteTable> build_route_table(
-    ThreadPool& pool, const topology::Graph& graph);
-
 class ReplicationRunner {
  public:
   explicit ReplicationRunner(ThreadPool& pool) : pool_(pool) {}
 
   /// Runs `replications` independent simulations of `base` on `graph`
-  /// (base.seed is the master seed), all routing on one shared table from
-  /// build_route_table. Requires replications >= 1.
+  /// (base.seed is the master seed), all routing on one shared
+  /// RouteTable of `graph`. Requires replications >= 1.
   ReplicationSummary run(const topology::Graph& graph,
                          const sim::SimConfig& base,
                          std::size_t replications) const;

@@ -90,39 +90,44 @@ Graph make_waxman(std::size_t n, Rng& rng, const WaxmanOptions& options) {
   // Treat the square as a small flat patch: ~111 km per degree of latitude,
   // scaled longitude near the placement latitude band.
   const double deg_span = options.side_km / 111.0;
-  std::vector<GeoPoint> points(n);
+  std::vector<HaversinePoint> points(n);
   for (std::size_t i = 0; i < n; ++i) {
-    points[i] = GeoPoint{rng.uniform(0.0, deg_span),
-                         rng.uniform(0.0, deg_span)};
-    g.add_node(NodeInfo{"waxman-" + std::to_string(i), points[i]});
+    const GeoPoint location{rng.uniform(0.0, deg_span),
+                            rng.uniform(0.0, deg_span)};
+    points[i] = haversine_point(location);
+    g.add_node(NodeInfo{"waxman-" + std::to_string(i), location});
   }
   const LatencyModel latency_model{};
+  const auto link_latency_ms = [&](std::size_t i, std::size_t j) {
+    return latency_model.link_latency_ms(points[i].point, points[j].point);
+  };
 
   // Spanning backbone: connect node i to its nearest already-placed node so
   // the graph is connected regardless of the random draws below.
+  std::vector<std::size_t> nearest(n, 0);
   for (std::size_t i = 1; i < n; ++i) {
-    std::size_t nearest = 0;
     double best = haversine_km(points[i], points[0]);
     for (std::size_t j = 1; j < i; ++j) {
       const double d = haversine_km(points[i], points[j]);
       if (d < best) {
         best = d;
-        nearest = j;
+        nearest[i] = j;
       }
     }
-    must_add(g, static_cast<NodeId>(i), static_cast<NodeId>(nearest),
-             latency_model.link_latency_ms(points[i], points[nearest]));
+    must_add(g, static_cast<NodeId>(i), static_cast<NodeId>(nearest[i]),
+             link_latency_ms(i, nearest[i]));
   }
 
   const double diagonal = options.side_km * std::sqrt(2.0);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) {
-      if (g.has_edge(static_cast<NodeId>(i), static_cast<NodeId>(j))) continue;
+      // j's backbone link is the only edge between i and j so far.
+      if (nearest[j] == i) continue;
       const double d = haversine_km(points[i], points[j]);
       const double p = options.alpha * std::exp(-d / (options.beta * diagonal));
       if (rng.bernoulli(std::min(1.0, p))) {
         must_add(g, static_cast<NodeId>(i), static_cast<NodeId>(j),
-                 latency_model.link_latency_ms(points[i], points[j]));
+                 link_latency_ms(i, j));
       }
     }
   }

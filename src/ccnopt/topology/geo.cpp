@@ -12,15 +12,21 @@ constexpr double kDegToRad = 3.14159265358979323846 / 180.0;
 
 }  // namespace
 
-double haversine_km(const GeoPoint& a, const GeoPoint& b) {
-  const double lat1 = a.lat_deg * kDegToRad;
-  const double lat2 = b.lat_deg * kDegToRad;
-  const double dlat = (b.lat_deg - a.lat_deg) * kDegToRad;
-  const double dlon = (b.lon_deg - a.lon_deg) * kDegToRad;
+HaversinePoint haversine_point(const GeoPoint& p) {
+  return HaversinePoint{p, std::cos(p.lat_deg * kDegToRad)};
+}
+
+double haversine_km(const HaversinePoint& a, const HaversinePoint& b) {
+  const double dlat = (b.point.lat_deg - a.point.lat_deg) * kDegToRad;
+  const double dlon = (b.point.lon_deg - a.point.lon_deg) * kDegToRad;
   const double h = std::sin(dlat / 2) * std::sin(dlat / 2) +
-                   std::cos(lat1) * std::cos(lat2) * std::sin(dlon / 2) *
+                   a.cos_lat * b.cos_lat * std::sin(dlon / 2) *
                        std::sin(dlon / 2);
   return 2.0 * kEarthRadiusKm * std::asin(std::min(1.0, std::sqrt(h)));
+}
+
+double haversine_km(const GeoPoint& a, const GeoPoint& b) {
+  return haversine_km(haversine_point(a), haversine_point(b));
 }
 
 double LatencyModel::link_latency_ms(const GeoPoint& a,

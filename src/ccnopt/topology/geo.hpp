@@ -6,7 +6,17 @@
 
 namespace ccnopt::topology {
 
+/// A point with the cosine of its latitude computed once, for callers
+/// that measure one point against many (graph generators).
+struct HaversinePoint {
+  GeoPoint point;
+  double cos_lat = 1.0;
+};
+HaversinePoint haversine_point(const GeoPoint& p);
+
 /// Great-circle distance between two points (haversine), in kilometers.
+/// Both overloads run the one formula and return the same bits.
+double haversine_km(const HaversinePoint& a, const HaversinePoint& b);
 double haversine_km(const GeoPoint& a, const GeoPoint& b);
 
 /// Link latency model: one-way propagation at `km_per_ms` (signal speed in

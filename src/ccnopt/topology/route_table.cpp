@@ -1,6 +1,9 @@
 #include "ccnopt/topology/route_table.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <system_error>
+#include <thread>
 
 namespace ccnopt::topology {
 namespace {
@@ -120,8 +123,7 @@ class BlockBuilder {
 
 }  // namespace
 
-RouteTable::RouteTable(const Graph& g, const std::vector<bool>& blocked,
-                       const BlockRunner& run_blocks)
+RouteTable::RouteTable(const Graph& g, const std::vector<bool>& blocked)
     : n_(g.node_count()), routes_(n_ * n_) {
   CCNOPT_EXPECTS(blocked.empty() || blocked.size() == n_);
   link_ends_.reserve(g.links().size());
@@ -129,23 +131,35 @@ RouteTable::RouteTable(const Graph& g, const std::vector<bool>& blocked,
     link_ends_.push_back(link.u ^ link.v);
   }
   const Csr csr = surviving_adjacency(g, blocked);
-  const auto build_block = [&](std::size_t block) {
+  const std::size_t blocks = (n_ + kSourceBlock - 1) / kSourceBlock;
+  std::atomic<std::size_t> next_block{0};
+  // Every thread takes the next unbuilt block until none is left.
+  const auto build_blocks = [&] {
     BlockBuilder builder(csr, n_);
-    const std::size_t first = block * kSourceBlock;
-    const std::size_t last = std::min(n_, first + kSourceBlock);
-    for (std::size_t src = first; src < last; ++src) {
-      // Blocked rows stay unreachable.
-      if (blocked.empty() || !blocked[src]) {
-        builder.fill_row(static_cast<NodeId>(src), routes_.data() + src * n_);
+    for (std::size_t block = next_block.fetch_add(1, std::memory_order_relaxed);
+         block < blocks;
+         block = next_block.fetch_add(1, std::memory_order_relaxed)) {
+      const std::size_t first = block * kSourceBlock;
+      const std::size_t last = std::min(n_, first + kSourceBlock);
+      for (std::size_t src = first; src < last; ++src) {
+        // Blocked rows stay unreachable.
+        if (blocked.empty() || !blocked[src]) {
+          builder.fill_row(static_cast<NodeId>(src),
+                           routes_.data() + src * n_);
+        }
       }
     }
   };
-  const std::size_t blocks = (n_ + kSourceBlock - 1) / kSourceBlock;
-  if (run_blocks) {
-    run_blocks(blocks, build_block);
-  } else {
-    for (std::size_t block = 0; block < blocks; ++block) build_block(block);
+  const std::size_t threads = std::min<std::size_t>(
+      std::max(1u, std::thread::hardware_concurrency()), blocks);
+  std::vector<std::thread> helpers;
+  try {
+    while (helpers.size() + 1 < threads) helpers.emplace_back(build_blocks);
+  } catch (const std::system_error&) {
+    // A helper that cannot start leaves its blocks to the others.
   }
+  build_blocks();
+  for (std::thread& helper : helpers) helper.join();
 }
 
 }  // namespace ccnopt::topology

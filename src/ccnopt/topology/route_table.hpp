@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -38,19 +37,15 @@ static_assert(sizeof(Route) == 16);
 /// editing it).
 class RouteTable {
  public:
-  /// Runs body(block) once for every block in [0, blocks), in any order
-  /// and on any threads, and returns when all of them have finished.
-  using BlockRunner = std::function<void(
-      std::size_t blocks, const std::function<void(std::size_t)>& body)>;
-  /// Sources per block, the grain of a parallel build. Rows are
-  /// independent and blocks fixed, so the table's bytes never depend on
-  /// how the blocks were run.
+  /// Sources per block, the grain of the build. The constructor builds
+  /// the blocks on min(hardware threads, blocks) threads, itself plus
+  /// helpers it joins before returning, so a graph of at most 64 nodes
+  /// starts no thread. Rows are independent and blocks fixed, so the
+  /// table's bytes never depend on how many threads built it.
   static constexpr std::size_t kSourceBlock = 64;
 
-  /// `blocked` is empty (nothing blocked) or has node_count() entries; an
-  /// empty `run_blocks` builds every block on the calling thread.
-  explicit RouteTable(const Graph& g, const std::vector<bool>& blocked = {},
-                      const BlockRunner& run_blocks = {});
+  /// `blocked` is empty (nothing blocked) or has node_count() entries.
+  explicit RouteTable(const Graph& g, const std::vector<bool>& blocked = {});
 
   std::size_t node_count() const { return n_; }
   const Route& route(NodeId src, NodeId dst) const {

@@ -79,6 +79,22 @@ TEST(Cli, OptimizeRejectsMalformedNumber) {
   EXPECT_NE(result.output.find("expects a number"), std::string::npos);
 }
 
+TEST(Cli, NonFiniteNumbersFailWithParseError) {
+  // strtod reads these; each must stop at the flag, not in the model.
+  for (const char* arguments :
+       {"simulate --topology=abilene --requests=2000 --s=nan",
+        "simulate --topology=abilene --requests=2000 --s=1e400",
+        "optimize --alpha=nan"}) {
+    const RunResult result = run_cli(arguments);
+    EXPECT_EQ(result.exit_code, 1) << arguments << result.output;
+    EXPECT_NE(result.output.find("error: parse_error: "), std::string::npos)
+        << arguments << result.output;
+    EXPECT_NE(result.output.find("expects a finite number"),
+              std::string::npos)
+        << arguments << result.output;
+  }
+}
+
 TEST(Cli, SweepPrintsSeries) {
   const RunResult result = run_cli("sweep --figure=4");
   EXPECT_EQ(result.exit_code, 0);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <iterator>
 #include <string>
 #include <vector>
@@ -65,6 +66,17 @@ TEST(ArgParser, MalformedNumbersFail) {
   const ArgParser args = parse({"--alpha=zero", "--count=4x"});
   EXPECT_FALSE(args.get_double("alpha", 0.0).has_value());
   EXPECT_FALSE(args.get_int("count", 0).has_value());
+}
+
+TEST(ArgParser, NonFiniteNumbersFail) {
+  for (const char* bad : {"nan", "-nan", "inf", "-infinity", "1e400",
+                          "-1e400"}) {
+    const std::string option = std::string("--s=") + bad;
+    const ArgParser args = parse({option.c_str()});
+    const auto value = args.get_double("s", 0.8);
+    ASSERT_FALSE(value.has_value()) << bad;
+    EXPECT_EQ(value.status().code(), ErrorCode::kParseError) << bad;
+  }
 }
 
 TEST(ArgParser, NegativeNumberAsValue) {
@@ -192,6 +204,52 @@ TEST(ArgReader, FlagGivenAValueIsAnError) {
   EXPECT_TRUE(args.flag("fixed-warmup"));
   EXPECT_FALSE(args.finish());
   EXPECT_EQ(args.error(), "--fixed-warmup takes no value");
+}
+
+TEST(ArgReader, SeededRandomArgvReadsBackCleanly) {
+  // 2,000 random command lines of up to 8 words from a fixed seed, read
+  // through every accessor: malformed, non-finite and overflowing numbers,
+  // valued flags, unknown keys, surplus positionals and non-UTF-8 bytes.
+  // Numbers read back finite; a rejected line leaves an error() that
+  // finish() prints, and an accepted one leaves none.
+  static const char* const kTokens[] = {
+      "--",    "=",      "",      "--=",      "-",      "--n",
+      "--n=3", "--n=-3", "--n=",  "--n=x",    "--t",    "--t=text",
+      "--f",   "--f=yes", "--f=", "--x=1",    "7",      "0.25",
+      "-1",    "nan",    "inf",   "1e400",    "1e-400", "0x1p3",
+      "\x80",  "--\xff", "pos",   "99999999999999999999"};
+  Rng rng(20261019);
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::vector<const char*> argv{"tool"};
+    const std::size_t words = rng.uniform_int(0, 8);
+    for (std::size_t w = 0; w < words; ++w) {
+      argv.push_back(kTokens[rng.uniform_int(0, std::size(kTokens) - 1)]);
+    }
+    ArgReader args(static_cast<int>(argv.size()), argv.data());
+    (void)args.count("n", 1);
+    (void)args.text("t", "");
+    (void)args.flag("f");
+    EXPECT_TRUE(std::isfinite(args.number_at(0, 0.5))) << "trial " << trial;
+    (void)args.count_at(1, 2);
+    (void)args.text_at(2, "");
+    ::testing::internal::CaptureStderr();
+    const bool ok = args.finish(rng.uniform_int(0, 3));
+    const std::string printed = ::testing::internal::GetCapturedStderr();
+    if (ok) {
+      ++accepted;
+      EXPECT_TRUE(args.error().empty()) << "trial " << trial;
+      EXPECT_TRUE(printed.empty()) << "trial " << trial;
+    } else {
+      ++rejected;
+      EXPECT_FALSE(args.error().empty()) << "trial " << trial;
+      EXPECT_NE(printed.find(args.error()), std::string::npos)
+          << "trial " << trial;
+    }
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 }  // namespace

@@ -36,6 +36,15 @@ TEST(Haversine, AntipodalIsHalfCircumference) {
   EXPECT_NEAR(haversine_km(a, b), 20015.0, 10.0);
 }
 
+TEST(Haversine, PreparedPointsGiveTheSameBits) {
+  for (const GeoPoint& a : {kNewYork, kLondon, kSeattle}) {
+    for (const GeoPoint& b : {kNewYork, kLondon, kSeattle}) {
+      EXPECT_EQ(haversine_km(haversine_point(a), haversine_point(b)),
+                haversine_km(a, b));
+    }
+  }
+}
+
 TEST(LatencyModel, ProportionalToDistancePlusOverhead) {
   const LatencyModel model{200.0, 1.0, 0.1};
   const double km = haversine_km(kSeattle, kNewYork);

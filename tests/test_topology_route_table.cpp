@@ -1,17 +1,14 @@
 // RouteTable: every row against the per-source Dijkstra it replaces (hops
 // are the edges of that Dijkstra's path), the link ids adjacency entries
-// carry, and build determinism across worker counts.
+// carry, and the committed digests of two multi-block tables.
 #include <algorithm>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "ccnopt/common/random.hpp"
-#include "ccnopt/runtime/replication_runner.hpp"
-#include "ccnopt/runtime/thread_pool.hpp"
 #include "ccnopt/topology/datasets.hpp"
 #include "ccnopt/topology/generators.hpp"
 #include "ccnopt/topology/route_table.hpp"
@@ -140,17 +137,6 @@ TEST(RouteTable, EdgeLinksMapBackToLinks) {
   }
 }
 
-/// The table's rows as raw bytes, sources in order.
-std::vector<unsigned char> table_bytes(const RouteTable& table) {
-  std::vector<unsigned char> bytes;
-  for (NodeId src = 0; src < table.node_count(); ++src) {
-    const std::span<const Route> row = table.row(src);
-    const auto* first = reinterpret_cast<const unsigned char*>(row.data());
-    bytes.insert(bytes.end(), first, first + row.size_bytes());
-  }
-  return bytes;
-}
-
 /// FNV-1a-64 over every Route's latency bits, hops and parent link, rows
 /// in source order.
 std::uint64_t routes_digest(const RouteTable& table) {
@@ -167,12 +153,8 @@ std::uint64_t routes_digest(const RouteTable& table) {
 }
 
 TEST(RouteTable, BuildsOnOneAndFourWorkersAreByteIdentical) {
-  const Graph g = waxman300();
-  runtime::ThreadPool one(1);
-  runtime::ThreadPool four(4);
-  const auto serial = table_bytes(RouteTable(g));
-  EXPECT_EQ(table_bytes(*runtime::build_route_table(one, g)), serial);
-  EXPECT_EQ(table_bytes(*runtime::build_route_table(four, g)), serial);
+  // Both tables span several blocks, so helper threads build some of
+  // them; the digests were taken from a one-thread build.
   for (const std::size_t n : {std::size_t{300}, std::size_t{1000}}) {
     Rng rng(n);
     golden::expect_committed(CCNOPT_TOPOLOGY_GOLDEN,

@@ -51,8 +51,9 @@ TARGETS=(
 # on a pooled ShardScheduler, whose fused serve loops write cache stores
 # and per-router metric/epoch/topo partials from pool threads —
 # TSan proves the router partition really is race-free.
-# test_topology_route_table builds route tables on pool threads (each
-# worker fills its own source blocks of one shared table).
+# test_topology_route_table builds tables of 5 and 16 source blocks,
+# whose constructor starts helper threads that each claim blocks from one
+# atomic counter and fill those rows of the one table.
 TSAN_TARGETS=(
   test_topology_route_table
   test_golden_digests

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
+#include <mutex>
 #include <system_error>
 #include <thread>
 
@@ -132,34 +134,43 @@ RouteTable::RouteTable(const Graph& g, const std::vector<bool>& blocked)
   }
   const Csr csr = surviving_adjacency(g, blocked);
   const std::size_t blocks = (n_ + kSourceBlock - 1) / kSourceBlock;
+  // Every thread claims the next unbuilt block until none is left. The
+  // first exception a thread throws is rethrown once all have stopped.
   std::atomic<std::size_t> next_block{0};
-  // Every thread takes the next unbuilt block until none is left.
+  std::mutex error_mutex;
+  std::exception_ptr error;
   const auto build_blocks = [&] {
-    BlockBuilder builder(csr, n_);
-    for (std::size_t block = next_block.fetch_add(1, std::memory_order_relaxed);
-         block < blocks;
-         block = next_block.fetch_add(1, std::memory_order_relaxed)) {
-      const std::size_t first = block * kSourceBlock;
-      const std::size_t last = std::min(n_, first + kSourceBlock);
-      for (std::size_t src = first; src < last; ++src) {
-        // Blocked rows stay unreachable.
-        if (blocked.empty() || !blocked[src]) {
-          builder.fill_row(static_cast<NodeId>(src),
-                           routes_.data() + src * n_);
+    try {
+      BlockBuilder builder(csr, n_);
+      for (std::size_t block = next_block.fetch_add(1); block < blocks;
+           block = next_block.fetch_add(1)) {
+        const std::size_t first = block * kSourceBlock;
+        const std::size_t last = std::min(n_, first + kSourceBlock);
+        for (std::size_t src = first; src < last; ++src) {
+          // Blocked rows stay unreachable.
+          if (blocked.empty() || !blocked[src]) {
+            builder.fill_row(static_cast<NodeId>(src),
+                             routes_.data() + src * n_);
+          }
         }
       }
+    } catch (...) {
+      const std::lock_guard<std::mutex> lock(error_mutex);
+      if (!error) error = std::current_exception();
     }
   };
   const std::size_t threads = std::min<std::size_t>(
       std::max(1u, std::thread::hardware_concurrency()), blocks);
-  std::vector<std::thread> helpers;
-  try {
-    while (helpers.size() + 1 < threads) helpers.emplace_back(build_blocks);
-  } catch (const std::system_error&) {
-    // A helper that cannot start leaves its blocks to the others.
+  {
+    std::vector<std::jthread> helpers;  // joined when the scope ends
+    try {
+      while (helpers.size() + 1 < threads) helpers.emplace_back(build_blocks);
+    } catch (const std::system_error&) {
+      // A helper that cannot start leaves its blocks to the others.
+    }
+    build_blocks();
   }
-  build_blocks();
-  for (std::thread& helper : helpers) helper.join();
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace ccnopt::topology

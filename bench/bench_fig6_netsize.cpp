@@ -1,14 +1,5 @@
 // Regenerates Figure 6: optimal strategy l* vs the network size n.
-//
-// Also measures the parallel runtime: the sweep is run serially and then
-// point-parallel on a hardware-sized ThreadPool, the two outputs are
-// checked byte-identical (the determinism contract), and the wall-clock
-// speedup is printed.
-#include <sstream>
-
 #include "bench_util.hpp"
-#include "ccnopt/common/strings.hpp"
-#include "ccnopt/runtime/thread_pool.hpp"
 
 int main(int argc, char** argv) {
   using namespace ccnopt;
@@ -16,35 +7,7 @@ int main(int argc, char** argv) {
   bench::print_params_banner(base, "Figure 6: l* vs n",
                              "n in [10,500], alpha in {0.2..1.0}");
   bench::BenchReporter reporter("fig6_netsize");
-
-  bench::WallTimer timer;
-  const auto serial = experiments::sweep_vs_routers(base);
-  const double serial_ms = timer.elapsed_ms();
-
-  runtime::ThreadPool pool;
-  timer.restart();
-  const auto parallel = experiments::sweep_vs_routers(base, &pool);
-  const double parallel_ms = timer.elapsed_ms();
-
-  std::ostringstream serial_csv, parallel_csv;
-  experiments::write_series_csv(serial, serial_csv);
-  experiments::write_series_csv(parallel, parallel_csv);
-  const bool identical = serial_csv.str() == parallel_csv.str();
-
-  reporter.add_timing_ms("sweep_serial_ms", serial_ms);
-  reporter.add_timing_ms("sweep_parallel_ms", parallel_ms);
-  reporter.set_output("threads", pool.thread_count());
-  reporter.set_output("serial_parallel_identical", identical);
-  std::cout << "sweep wall-clock: serial " << format_double(serial_ms, 1)
-            << " ms, parallel " << format_double(parallel_ms, 1) << " ms ("
-            << pool.thread_count() << " threads, speedup "
-            << format_double(serial_ms / parallel_ms, 2) << "x), outputs "
-            << (identical ? "byte-identical" : "DIVERGED") << "\n\n";
-  if (!identical) {
-    std::cerr << "determinism violation: serial and parallel sweeps "
-                 "produced different CSV output\n";
-    return reporter.finish(1);
-  }
-  return bench::run_figure_bench(reporter, parallel,
+  const auto data = experiments::sweep_vs_routers(base);
+  return bench::run_figure_bench(reporter, data,
                                  experiments::Metric::kEllStar, argc, argv);
 }

@@ -9,7 +9,7 @@
 #include "ccnopt/common/table.hpp"
 #include "ccnopt/obs/export.hpp"
 #include "ccnopt/obs/registry.hpp"
-#include "ccnopt/runtime/parallel.hpp"
+#include "ccnopt/runtime/thread_pool.hpp"
 #include "ccnopt/sim/steady_state.hpp"
 #include "ccnopt/strategy/registry.hpp"
 #include "ccnopt/topology/datasets.hpp"
@@ -91,29 +91,15 @@ ArenaResult run_arena(const ArenaOptions& options,
     result.topologies.push_back(graph.name());
   }
 
-  struct CellSpec {
-    std::size_t topology_index = 0;
-    std::size_t strategy_index = 0;
-  };
-  std::vector<CellSpec> specs;
-  specs.reserve(roster.size() * result.strategies.size());
-  for (std::size_t t = 0; t < roster.size(); ++t) {
-    for (std::size_t s = 0; s < result.strategies.size(); ++s) {
-      specs.push_back(CellSpec{t, s});
-    }
-  }
-  const auto evaluate = [&](const CellSpec& spec) {
-    return run_cell(result.options, roster[spec.topology_index],
-                    result.strategies[spec.strategy_index]);
-  };
-  if (pool != nullptr) {
-    result.cells = runtime::parallel_map(*pool, specs, evaluate);
-  } else {
-    result.cells.reserve(specs.size());
-    for (const CellSpec& spec : specs) {
-      result.cells.push_back(evaluate(spec));
-    }
-  }
+  // Topology-major, as ArenaResult::cells documents.
+  const std::size_t strategy_count = result.strategies.size();
+  result.cells.resize(roster.size() * strategy_count);
+  runtime::ThreadPool serial(1);
+  runtime::ThreadPool& workers = pool != nullptr ? *pool : serial;
+  workers.run(result.cells.size(), [&](std::size_t i) {
+    result.cells[i] = run_cell(result.options, roster[i / strategy_count],
+                               result.strategies[i % strategy_count]);
+  });
   return result;
 }
 

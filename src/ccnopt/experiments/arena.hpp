@@ -95,9 +95,9 @@ struct ArenaResult {
 /// covers both real backbones and synthetic extremes.
 std::vector<topology::Graph> default_arena_topologies(std::uint64_t seed);
 
-/// Runs the full cross product; with a pool, cells run in parallel
-/// (parallel_map keeps cell order deterministic and each cell is an
-/// independent Simulation, so results match the serial run exactly).
+/// Runs the full cross product on `pool` (null: on the calling thread).
+/// Each cell is an independent Simulation written to its own slot, so the
+/// result is the same at any thread count.
 ArenaResult run_arena(const ArenaOptions& options,
                       runtime::ThreadPool* pool = nullptr);
 

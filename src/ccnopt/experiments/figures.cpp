@@ -2,23 +2,12 @@
 
 #include "ccnopt/common/assert.hpp"
 #include "ccnopt/common/strings.hpp"
-#include "ccnopt/runtime/sweep_runner.hpp"
 
 namespace ccnopt::experiments {
 namespace {
 
 std::string series_label(const char* name, double value, int precision) {
   return std::string(name) + "=" + ccnopt::format_double(value, precision);
-}
-
-/// Serial sweep, or point-parallel over `pool` when one is given.
-Expected<std::vector<model::SweepPoint>> run_grid(
-    runtime::ThreadPool* pool, const model::SystemParams& base,
-    model::SweepParameter parameter, const std::vector<double>& grid) {
-  if (pool != nullptr) {
-    return runtime::SweepRunner(*pool).run(base, parameter, grid);
-  }
-  return model::sweep(base, parameter, grid);
 }
 
 }  // namespace
@@ -77,62 +66,60 @@ std::vector<double> alpha_series_values() {
   return {0.2, 0.4, 0.6, 0.8, 1.0};
 }
 
-FigureData sweep_vs_alpha(const model::SystemParams& base,
-                          runtime::ThreadPool* pool) {
+FigureData sweep_vs_alpha(const model::SystemParams& base) {
   FigureData data{"fig4+8+12",
                   "optimal strategy and gains vs trade-off weight alpha",
                   "alpha",
                   {}};
   for (const double gamma : gamma_series_values()) {
-    const auto points = run_grid(pool, model::with_gamma(base, gamma),
-                                 model::SweepParameter::kAlpha, alpha_grid());
+    const auto points = model::sweep(model::with_gamma(base, gamma),
+                                     model::SweepParameter::kAlpha,
+                                     alpha_grid());
     CCNOPT_ASSERT(points.has_value());
     data.series.push_back(Series{series_label("gamma", gamma, 0), *points});
   }
   return data;
 }
 
-FigureData sweep_vs_zipf(const model::SystemParams& base,
-                         runtime::ThreadPool* pool) {
+FigureData sweep_vs_zipf(const model::SystemParams& base) {
   FigureData data{"fig5+9+13",
                   "optimal strategy and gains vs Zipf exponent s",
                   "s",
                   {}};
   for (const double alpha : alpha_series_values()) {
-    const auto points = run_grid(pool, model::with_alpha(base, alpha),
-                                 model::SweepParameter::kZipf, zipf_grid());
+    const auto points = model::sweep(model::with_alpha(base, alpha),
+                                     model::SweepParameter::kZipf,
+                                     zipf_grid());
     CCNOPT_ASSERT(points.has_value());
     data.series.push_back(Series{series_label("alpha", alpha, 1), *points});
   }
   return data;
 }
 
-FigureData sweep_vs_routers(const model::SystemParams& base,
-                            runtime::ThreadPool* pool) {
+FigureData sweep_vs_routers(const model::SystemParams& base) {
   FigureData data{"fig6+10",
                   "optimal strategy and gains vs network size n",
                   "n",
                   {}};
   for (const double alpha : alpha_series_values()) {
-    const auto points =
-        run_grid(pool, model::with_alpha(base, alpha),
-                 model::SweepParameter::kRouters, router_grid());
+    const auto points = model::sweep(model::with_alpha(base, alpha),
+                                     model::SweepParameter::kRouters,
+                                     router_grid());
     CCNOPT_ASSERT(points.has_value());
     data.series.push_back(Series{series_label("alpha", alpha, 1), *points});
   }
   return data;
 }
 
-FigureData sweep_vs_unit_cost(const model::SystemParams& base,
-                              runtime::ThreadPool* pool) {
+FigureData sweep_vs_unit_cost(const model::SystemParams& base) {
   FigureData data{"fig7+11",
                   "optimal strategy and gains vs unit coordination cost w",
                   "w_ms",
                   {}};
   for (const double alpha : alpha_series_values()) {
-    const auto points =
-        run_grid(pool, model::with_alpha(base, alpha),
-                 model::SweepParameter::kUnitCost, unit_cost_grid());
+    const auto points = model::sweep(model::with_alpha(base, alpha),
+                                     model::SweepParameter::kUnitCost,
+                                     unit_cost_grid());
     CCNOPT_ASSERT(points.has_value());
     data.series.push_back(Series{series_label("alpha", alpha, 1), *points});
   }

@@ -11,10 +11,6 @@
 
 #include "ccnopt/model/sensitivity.hpp"
 
-namespace ccnopt::runtime {
-class ThreadPool;
-}
-
 namespace ccnopt::experiments {
 
 struct Series {
@@ -43,27 +39,21 @@ std::vector<double> unit_cost_grid(int points = 46);   // 10 .. 100
 std::vector<double> gamma_series_values();             // {2,4,6,8,10}
 std::vector<double> alpha_series_values();             // {0.2,...,1.0}
 
-/// All sweeps accept an optional pool: when given, grid points are
-/// evaluated in parallel by runtime::SweepRunner. Both paths go through
-/// model::evaluate_sweep_point, so the output is bit-identical whether the
-/// pool is null, has 1 thread, or has many.
+/// Each series is one serial model::sweep: a whole figure's grid solves in
+/// about a millisecond, too little work for threads to pay for.
 
 /// Figures 4/8/12: sweep alpha, one series per gamma in {2,4,6,8,10};
 /// s = 0.8, n = 20 (Table IV row 1).
-FigureData sweep_vs_alpha(const model::SystemParams& base,
-                          runtime::ThreadPool* pool = nullptr);
+FigureData sweep_vs_alpha(const model::SystemParams& base);
 
 /// Figures 5/9/13: sweep s over [0.1,1) U (1,1.9], one series per alpha in
 /// {0.2,...,1.0}; gamma = 5, n = 20 (Table IV row 2).
-FigureData sweep_vs_zipf(const model::SystemParams& base,
-                         runtime::ThreadPool* pool = nullptr);
+FigureData sweep_vs_zipf(const model::SystemParams& base);
 
 /// Figures 6/10: sweep n over [10, 500], one series per alpha (row 4).
-FigureData sweep_vs_routers(const model::SystemParams& base,
-                            runtime::ThreadPool* pool = nullptr);
+FigureData sweep_vs_routers(const model::SystemParams& base);
 
 /// Figures 7/11: sweep w over [10, 100] ms, one series per alpha (row 3).
-FigureData sweep_vs_unit_cost(const model::SystemParams& base,
-                              runtime::ThreadPool* pool = nullptr);
+FigureData sweep_vs_unit_cost(const model::SystemParams& base);
 
 }  // namespace ccnopt::experiments

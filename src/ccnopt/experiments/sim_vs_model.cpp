@@ -5,7 +5,7 @@
 
 #include "ccnopt/common/assert.hpp"
 #include "ccnopt/common/random.hpp"
-#include "ccnopt/runtime/parallel.hpp"
+#include "ccnopt/runtime/thread_pool.hpp"
 #include "ccnopt/sim/network.hpp"
 #include "ccnopt/sim/workload.hpp"
 #include "ccnopt/topology/shortest_paths.hpp"
@@ -116,15 +116,12 @@ SimVsModelResult run_sim_vs_model(const topology::Graph& graph,
 
   const std::size_t point_count = static_cast<std::size_t>(options.x_points);
   result.points.resize(point_count);
-  const auto evaluate = [&](std::size_t i) {
+  runtime::ThreadPool serial(1);
+  runtime::ThreadPool& workers = pool != nullptr ? *pool : serial;
+  workers.run(point_count, [&](std::size_t i) {
     result.points[i] =
         evaluate_x_point(graph, options, analytic, net_config, i);
-  };
-  if (pool != nullptr) {
-    runtime::parallel_for(*pool, point_count, evaluate);
-  } else {
-    for (std::size_t i = 0; i < point_count; ++i) evaluate(i);
-  }
+  });
 
   for (const SimVsModelPoint& point : result.points) {
     result.max_origin_load_abs_error =

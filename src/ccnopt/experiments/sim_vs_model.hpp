@@ -53,8 +53,8 @@ struct SimVsModelResult {
 ///
 /// Each x point replays its requests against its own freshly provisioned
 /// network with a workload seeded derive_seed(options.seed, point index),
-/// so points are independent; with a pool they run in parallel and the
-/// result is bit-identical to the serial (null-pool) run.
+/// so points are independent: they run on `pool` (null: on the calling
+/// thread) and the result is bit-identical at any thread count.
 SimVsModelResult run_sim_vs_model(const topology::Graph& graph,
                                   const SimVsModelOptions& options = {},
                                   runtime::ThreadPool* pool = nullptr);

@@ -1,22 +1,12 @@
 #include "ccnopt/experiments/tables.hpp"
 
-#include "ccnopt/runtime/parallel.hpp"
 #include "ccnopt/topology/datasets.hpp"
 
 namespace ccnopt::experiments {
 
-std::vector<topology::TopologyParameters> table3_rows(
-    runtime::ThreadPool* pool) {
-  const std::vector<topology::Graph> datasets = topology::all_datasets();
-  if (pool != nullptr) {
-    return runtime::parallel_map(*pool, datasets,
-                                 [](const topology::Graph& g) {
-                                   return topology::derive_parameters(g);
-                                 });
-  }
+std::vector<topology::TopologyParameters> table3_rows() {
   std::vector<topology::TopologyParameters> rows;
-  rows.reserve(datasets.size());
-  for (const topology::Graph& g : datasets) {
+  for (const topology::Graph& g : topology::all_datasets()) {
     rows.push_back(topology::derive_parameters(g));
   }
   return rows;

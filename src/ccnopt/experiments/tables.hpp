@@ -6,17 +6,10 @@
 
 #include "ccnopt/topology/params.hpp"
 
-namespace ccnopt::runtime {
-class ThreadPool;
-}
-
 namespace ccnopt::experiments {
 
 /// One row per dataset in Table II order (Abilene, CERNET, GEANT, US-A).
-/// With a pool the per-topology all-pairs derivations run in parallel;
-/// row order is preserved either way.
-std::vector<topology::TopologyParameters> table3_rows(
-    runtime::ThreadPool* pool = nullptr);
+std::vector<topology::TopologyParameters> table3_rows();
 
 /// The paper's published Table III values, for paper-vs-measured reporting.
 struct PaperTable3Row {

@@ -4,6 +4,8 @@
 
 #include "ccnopt/common/assert.hpp"
 #include "ccnopt/model/gains.hpp"
+#include "ccnopt/obs/registry.hpp"
+#include "ccnopt/obs/span.hpp"
 
 namespace ccnopt::model {
 
@@ -41,55 +43,30 @@ SystemParams apply_sweep_parameter(const SystemParams& base,
   return base;
 }
 
-SweepPointOutcome evaluate_sweep_point(const SystemParams& base,
-                                       SweepParameter parameter,
-                                       double value) {
-  SweepPointOutcome outcome;
-  const SystemParams params = apply_sweep_parameter(base, parameter, value);
-  if (!params.validate().is_ok()) return outcome;  // skip e.g. s = 1
-  outcome.valid = true;
-  const auto strategy = optimize(params);
-  if (!strategy) {
-    outcome.status = strategy.status();
-    return outcome;
-  }
-  const PerformanceModel model(params);
-  const GainReport gains = compute_gains(model, strategy->x_star);
-  outcome.point = SweepPoint{value, strategy->ell_star,
-                             gains.origin_load_reduction,
-                             gains.routing_improvement};
-  return outcome;
-}
-
-Expected<std::vector<SweepPoint>> reduce_sweep_outcomes(
-    const std::vector<SweepPointOutcome>& outcomes) {
+Expected<std::vector<SweepPoint>> sweep(const SystemParams& base,
+                                        SweepParameter parameter,
+                                        const std::vector<double>& values) {
+  const obs::ScopedSpan span("sweep.run");
+  obs::metrics().incr("model.sweep.runs");
+  obs::metrics().incr("model.sweep.points", values.size());
   std::vector<SweepPoint> points;
-  points.reserve(outcomes.size());
-  for (const SweepPointOutcome& outcome : outcomes) {
-    if (!outcome.valid) continue;
-    if (!outcome.status.is_ok()) return outcome.status;
-    points.push_back(outcome.point);
+  points.reserve(values.size());
+  for (const double value : values) {
+    const SystemParams params = apply_sweep_parameter(base, parameter, value);
+    if (!params.validate().is_ok()) continue;  // skip e.g. s = 1
+    const auto strategy = optimize(params);
+    if (!strategy) return strategy.status();
+    const PerformanceModel model(params);
+    const GainReport gains = compute_gains(model, strategy->x_star);
+    points.push_back(SweepPoint{value, strategy->ell_star,
+                                gains.origin_load_reduction,
+                                gains.routing_improvement});
   }
   if (points.empty()) {
     return Status(ErrorCode::kInvalidArgument,
                   "sweep: no parameter value was valid");
   }
   return points;
-}
-
-Expected<std::vector<SweepPoint>> sweep(const SystemParams& base,
-                                        SweepParameter parameter,
-                                        const std::vector<double>& values) {
-  std::vector<SweepPointOutcome> outcomes;
-  outcomes.reserve(values.size());
-  for (double value : values) {
-    outcomes.push_back(evaluate_sweep_point(base, parameter, value));
-    // Match the historical early-exit: nothing after an optimizer failure
-    // is evaluated (the parallel runner evaluates everything, but the
-    // reduction returns the same first error either way).
-    if (outcomes.back().valid && !outcomes.back().status.is_ok()) break;
-  }
-  return reduce_sweep_outcomes(outcomes);
 }
 
 std::vector<double> linspace(double lo, double hi, int count) {

@@ -27,30 +27,11 @@ const char* to_string(SweepParameter parameter);
 SystemParams apply_sweep_parameter(const SystemParams& base,
                                    SweepParameter parameter, double value);
 
-/// One grid point, evaluated exactly as the sweeps do. `valid` is false
-/// when the mutated parameters fail validation (sweeps skip such values,
-/// e.g. s = 1); a non-ok `status` carries an optimizer failure, which
-/// aborts the enclosing sweep. `point` is meaningful only when `valid`
-/// and `status.is_ok()`. Pure function of its arguments — safe to call
-/// concurrently from runtime::SweepRunner workers.
-struct SweepPointOutcome {
-  bool valid = false;
-  SweepPoint point;
-  Status status;
-};
-SweepPointOutcome evaluate_sweep_point(const SystemParams& base,
-                                       SweepParameter parameter, double value);
-
-/// Ordered reduction of per-point outcomes into a sweep result: skips
-/// invalid values, fails on the first (lowest-index) optimizer error, and
-/// fails if no value was valid. Shared by the serial sweeps and the
-/// parallel SweepRunner so both produce bit-identical results.
-Expected<std::vector<SweepPoint>> reduce_sweep_outcomes(
-    const std::vector<SweepPointOutcome>& outcomes);
-
 /// Evaluates optimize() + gains at each value of the named parameter,
 /// holding everything else in `base` fixed. Values outside the valid domain
-/// (e.g. s = 1) are skipped. The sweep fails only if no value is valid.
+/// (e.g. s = 1) are skipped. The sweep fails on the first optimizer error,
+/// or if no value is valid. Counts itself in the model.sweep.{runs,points}
+/// metrics and times itself as the "sweep.run" span.
 Expected<std::vector<SweepPoint>> sweep(const SystemParams& base,
                                         SweepParameter parameter,
                                         const std::vector<double>& values);

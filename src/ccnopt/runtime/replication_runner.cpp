@@ -7,7 +7,6 @@
 #include "ccnopt/numerics/stats.hpp"
 #include "ccnopt/obs/registry.hpp"
 #include "ccnopt/obs/span.hpp"
-#include "ccnopt/runtime/parallel.hpp"
 #include "ccnopt/topology/route_table.hpp"
 
 namespace ccnopt::runtime {
@@ -45,7 +44,7 @@ ReplicationSummary ReplicationRunner::run(const topology::Graph& graph,
     const obs::ScopedSpan route_span("replication.route_table");
     return std::make_shared<const topology::RouteTable>(graph);
   }();
-  parallel_for(pool_, replications, [&](std::size_t i) {
+  pool_.run(replications, [&](std::size_t i) {
     const obs::ScopedSpan sim_span("replication.sim");
     sim::SimConfig config = base;
     config.seed = derive_seed(base.seed, i);

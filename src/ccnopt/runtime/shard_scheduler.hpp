@@ -12,26 +12,25 @@
 
 namespace ccnopt::runtime {
 
-/// Runs shard bodies on a ThreadPool: bodies 0..count-2 are submitted,
-/// the last runs inline on the calling thread (with count worker-sized
-/// pools the caller would otherwise idle through every region). Each
-/// run_shards() call blocks until all bodies finished — future get() is
-/// the barrier, so every body's writes happen-before the caller resumes —
-/// and rethrows the first body exception after the barrier.
+/// Runs shard bodies with ThreadPool::run, which carries the whole
+/// contract: each body once, the calling thread taking part, a barrier at
+/// return (every body's writes happen-before the caller resumes), and the
+/// lowest-index body exception rethrown after it.
 ///
 /// The scheduler is an execution resource only: the sharded engine's
 /// outputs are byte-identical whether regions run here, on a 1-thread
 /// pool, or on SerialShardExecutor.
 class ShardScheduler final : public sim::ShardExecutor {
  public:
-  /// The pool is not owned and must outlive the scheduler. Sharing a pool
-  /// between a scheduler and other concurrent submitters is fine; sharing
-  /// it between two schedulers running simultaneously deadlock-free too
-  /// (the inline shard keeps every caller making progress).
+  /// The pool is not owned and must outlive the scheduler. A region
+  /// that finds the pool busy (another scheduler or caller is running on
+  /// it) runs inline, so sharing a pool cannot deadlock.
   explicit ShardScheduler(ThreadPool& pool) : pool_(&pool) {}
 
   void run_shards(std::size_t count,
-                  const std::function<void(std::size_t)>& body) override;
+                  const std::function<void(std::size_t)>& body) override {
+    pool_->run(count, body);
+  }
 
  private:
   ThreadPool* pool_;

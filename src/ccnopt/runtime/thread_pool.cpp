@@ -1,16 +1,31 @@
 #include "ccnopt/runtime/thread_pool.hpp"
 
 #include <algorithm>
+#include <exception>
+#include <utility>
 
 #include "ccnopt/common/assert.hpp"
 #include "ccnopt/obs/registry.hpp"
 
 namespace ccnopt::runtime {
 
+struct ThreadPool::Job {
+  Job(const std::function<void(std::size_t)>& job_body, std::size_t size)
+      : body(&job_body), count(size), remaining(size) {}
+
+  const std::function<void(std::size_t)>* body;
+  std::size_t count;
+  std::atomic<std::size_t> next{0};  // next index to claim
+  // Guarded by the pool's mutex_.
+  std::size_t remaining;  // bodies not yet finished
+  std::size_t error_index = 0;
+  std::exception_ptr error;
+};
+
 ThreadPool::ThreadPool(std::size_t thread_count) {
   CCNOPT_EXPECTS(thread_count >= 1);
-  workers_.reserve(thread_count);
-  for (std::size_t i = 0; i < thread_count; ++i) {
+  workers_.reserve(thread_count - 1);
+  for (std::size_t i = 1; i < thread_count; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
 }
@@ -18,66 +33,100 @@ ThreadPool::ThreadPool(std::size_t thread_count) {
 ThreadPool::~ThreadPool() {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    accepting_ = false;
+    stop_ = true;
   }
-  work_available_.notify_all();
+  work_ready_.notify_all();
   for (std::thread& worker : workers_) worker.join();
-  CCNOPT_ENSURES(queue_.empty());
-  // Workers are joined: the accounting fields are stable without the lock.
   obs::MetricsRegistry& registry = obs::perf();
   registry.incr("runtime.pool.pools");
-  registry.incr("runtime.pool.tasks_submitted", tasks_submitted_);
-  registry.incr("runtime.pool.tasks_executed", tasks_executed_);
+  registry.incr("runtime.pool.tasks_executed", tasks_executed());
   registry.set_gauge("runtime.pool.last_thread_count",
-                     static_cast<double>(workers_.size()));
-  registry.set_gauge("runtime.pool.last_max_queue_depth",
-                     static_cast<double>(max_queue_depth_));
-}
-
-std::size_t ThreadPool::pending() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return queue_.size();
-}
-
-std::uint64_t ThreadPool::tasks_submitted() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return tasks_submitted_;
-}
-
-std::uint64_t ThreadPool::tasks_executed() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return tasks_executed_;
+                     static_cast<double>(thread_count()));
 }
 
 std::size_t ThreadPool::default_thread_count() {
   return std::max<std::size_t>(1, std::thread::hardware_concurrency());
 }
 
-void ThreadPool::enqueue(std::function<void()> job) {
+void ThreadPool::run(std::size_t count,
+                     const std::function<void(std::size_t)>& body) {
+  if (count == 0) return;
+  tasks_executed_ += count;
+  bool idle = false;
+  if (count == 1 || workers_.empty() ||
+      !busy_.compare_exchange_strong(idle, true)) {
+    std::exception_ptr error;
+    for (std::size_t i = 0; i < count; ++i) {
+      try {
+        body(i);
+      } catch (...) {
+        if (!error) error = std::current_exception();
+      }
+    }
+    if (error) std::rethrow_exception(error);
+    return;
+  }
+  const auto job = std::make_shared<Job>(body, count);
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    CCNOPT_EXPECTS(accepting_);
-    queue_.push_back(std::move(job));
-    ++tasks_submitted_;
-    max_queue_depth_ = std::max(max_queue_depth_, queue_.size());
+    job_ = job;
+    ++generation_;
   }
-  work_available_.notify_one();
+  work_ready_.notify_all();
+  work(*job);
+  std::exception_ptr error;
+  {
+    std::unique_lock<std::mutex> lock(mutex_);
+    job_done_.wait(lock, [&job] { return job->remaining == 0; });
+    job_.reset();
+    // Moved out, so a worker that still holds the job never destroys the
+    // exception while the caller handles it.
+    error = std::move(job->error);
+  }
+  busy_ = false;
+  if (error) std::rethrow_exception(error);
+}
+
+void ThreadPool::work(Job& job) {
+  for (;;) {
+    const std::size_t i = job.next++;
+    if (i >= job.count) return;
+    std::exception_ptr error;
+    try {
+      (*job.body)(i);
+    } catch (...) {
+      error = std::current_exception();
+    }
+    // Counting the body done under mutex_ is what publishes its writes to
+    // the caller, whose wait reads `remaining` under the same mutex.
+    bool last = false;
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      if (error && (!job.error || i < job.error_index)) {
+        job.error = std::move(error);
+        job.error_index = i;
+      }
+      last = --job.remaining == 0;
+    }
+    if (last) job_done_.notify_all();
+  }
 }
 
 void ThreadPool::worker_loop() {
+  std::uint64_t seen = 0;
   for (;;) {
-    std::function<void()> job;
+    std::shared_ptr<Job> job;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      work_available_.wait(lock,
-                           [this] { return !queue_.empty() || !accepting_; });
-      // Shutdown still drains the queue: exit only once it is empty.
-      if (queue_.empty()) return;
-      job = std::move(queue_.front());
-      queue_.pop_front();
-      ++tasks_executed_;
+      work_ready_.wait(lock, [this, seen] {
+        return stop_ || generation_ != seen;
+      });
+      if (stop_) return;
+      seen = generation_;
+      job = job_;
     }
-    job();  // packaged_task captures any exception for the future
+    // Null when the job finished before this worker woke.
+    if (job) work(*job);
   }
 }
 

@@ -1,79 +1,74 @@
-// Fixed-size worker pool: a mutex+condvar task queue drained by N threads.
-// submit() returns a std::future, so results and exceptions propagate to
-// the caller; the destructor runs every task already submitted (pending or
-// in flight) before joining, so work is never silently dropped.
+// Fork-join worker pool: run(count, body) calls body(i) once for every i
+// in [0, count) on the calling thread plus the pool's workers, and returns
+// once every body has finished.
 //
 // The pool is an execution resource only — determinism is the job of the
-// layers above it (parallel_for writes results by index, SweepRunner /
-// ReplicationRunner derive per-task seeds and reduce in index order).
+// layers above it (bodies write results by index, ReplicationRunner
+// derives per-replication seeds and reduces in index order).
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 namespace ccnopt::runtime {
 
 class ThreadPool {
  public:
-  /// Spawns `thread_count` workers; requires thread_count >= 1.
+  /// A pool of `thread_count` threads: the caller of run() plus
+  /// thread_count - 1 workers, so ThreadPool(1) starts none. Requires
+  /// thread_count >= 1.
   explicit ThreadPool(std::size_t thread_count = default_thread_count());
 
-  /// Drains the queue: every submitted task runs to completion, then the
-  /// workers are joined. Submitting from another thread while the
-  /// destructor runs is a contract violation.
+  /// Joins the workers. Calling run() while the destructor runs is a
+  /// contract violation.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  std::size_t thread_count() const { return workers_.size(); }
+  std::size_t thread_count() const { return workers_.size() + 1; }
 
-  /// Tasks queued but not yet picked up by a worker.
-  std::size_t pending() const;
+  /// Calls body(i) exactly once for each i in [0, count). The calling
+  /// thread takes part, so at most thread_count() bodies run at once.
+  /// Returns only after every body has finished: every body's writes
+  /// happen-before the caller's next statement. If bodies throw, the
+  /// exception of the lowest index is rethrown once all have finished.
+  /// A run() that finds the pool busy — nested inside a body, or issued
+  /// from another thread — runs its bodies inline on its own thread.
+  void run(std::size_t count, const std::function<void(std::size_t)>& body);
 
-  // Lifetime accounting, maintained under the queue mutex (no extra
-  // synchronization cost) and flushed to the obs::perf() registry by the
-  // destructor. Task counts depend on chunking (and therefore the thread
-  // count), and queue depth on scheduling, so none of this belongs in the
-  // deterministic obs::metrics() domain.
-  std::uint64_t tasks_submitted() const;
-  std::uint64_t tasks_executed() const;
-
-  /// Enqueues `fn` and returns a future for its result. If `fn` throws,
-  /// the exception is captured and rethrown from future::get().
-  template <typename Fn>
-  auto submit(Fn&& fn) -> std::future<std::invoke_result_t<Fn>> {
-    using Result = std::invoke_result_t<Fn>;
-    auto task = std::make_shared<std::packaged_task<Result()>>(
-        std::forward<Fn>(fn));
-    std::future<Result> future = task->get_future();
-    enqueue([task] { (*task)(); });
-    return future;
-  }
+  /// Bodies run so far, inline ones included. Flushed to the scheduling
+  /// (obs::perf()) registry by the destructor.
+  std::uint64_t tasks_executed() const { return tasks_executed_; }
 
   /// hardware_concurrency(), or 1 when the runtime cannot report it.
   static std::size_t default_thread_count();
 
  private:
-  void enqueue(std::function<void()> job);
+  struct Job;
+
+  /// Claims indices of `job` until none is left, running each body.
+  void work(Job& job);
   void worker_loop();
 
-  mutable std::mutex mutex_;
-  std::condition_variable work_available_;
-  std::deque<std::function<void()>> queue_;
-  bool accepting_ = true;  // flips when the destructor begins
-  std::uint64_t tasks_submitted_ = 0;
-  std::uint64_t tasks_executed_ = 0;
-  std::size_t max_queue_depth_ = 0;
+  // Guards stop_, generation_, job_ and each job's completion state.
+  std::mutex mutex_;
+  std::condition_variable work_ready_;  // a job was posted, or stop_
+  std::condition_variable job_done_;    // a job's last body finished
+  bool stop_ = false;
+  std::uint64_t generation_ = 0;  // bumped once per posted job
+  // The posted job. Workers that wake late keep their own reference to
+  // it, so a finished job never dangles under them.
+  std::shared_ptr<Job> job_;
+  std::atomic<bool> busy_{false};  // a job is posted and not yet finished
+  std::atomic<std::uint64_t> tasks_executed_{0};
   std::vector<std::thread> workers_;
 };
 

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #ifndef CCNOPT_CLI_PATH
@@ -107,34 +108,6 @@ TEST(Cli, SweepRejectsUnknownFigure) {
   EXPECT_NE(result.exit_code, 0);
 }
 
-TEST(Cli, SweepRejectsBadThreadCount) {
-  const RunResult result = run_cli("sweep --figure=4 --threads=0");
-  EXPECT_NE(result.exit_code, 0);
-  EXPECT_NE(result.output.find("--threads"), std::string::npos);
-}
-
-TEST(Cli, SweepCsvIsByteIdenticalAcrossThreadCounts) {
-  const std::string one_path = testing::TempDir() + "ccnopt_sweep_t1.csv";
-  const std::string four_path = testing::TempDir() + "ccnopt_sweep_t4.csv";
-  const RunResult one =
-      run_cli("sweep --figure=6 --threads=1 --csv=" + one_path);
-  const RunResult four =
-      run_cli("sweep --figure=6 --threads=4 --csv=" + four_path);
-  EXPECT_EQ(one.exit_code, 0);
-  EXPECT_EQ(four.exit_code, 0);
-  const auto slurp = [](const std::string& path) {
-    std::ifstream in(path);
-    std::ostringstream contents;
-    contents << in.rdbuf();
-    return contents.str();
-  };
-  const std::string one_csv = slurp(one_path);
-  ASSERT_FALSE(one_csv.empty());
-  EXPECT_EQ(one_csv, slurp(four_path));
-  std::remove(one_path.c_str());
-  std::remove(four_path.c_str());
-}
-
 TEST(Cli, SimulateReportsTiers) {
   const RunResult result = run_cli(
       "simulate --topology=abilene --x=20 --requests=5000 --catalog=2000 "
@@ -219,6 +192,27 @@ TEST(Cli, SimulateRejectsUnknownStrategyListingAllNames) {
        {"coordinated-split", "coop-degree", "lce", "lcd", "prob",
         "prob-cap"}) {
     EXPECT_NE(result.output.find(name), std::string::npos) << name;
+  }
+}
+
+TEST(Cli, SimulateRejectsOutOfRangeNumbers) {
+  // Each must stop at its flag, before any simulation starts (the default
+  // --c is 200).
+  const std::vector<std::pair<std::string, std::string>> cases{
+      {"--s=0", "--s"},         {"--s=-1", "--s"},
+      {"--c=0", "--c"},         {"--c=-5", "--c"},
+      {"--x=500", "--x"},       {"--x=-1", "--x"},
+      {"--catalog=0", "--catalog"}, {"--requests=0", "--requests"},
+      {"--requests=-1", "--requests"}};
+  for (const auto& [flag, name] : cases) {
+    const RunResult result =
+        run_cli("simulate --topology=abilene --requests=2000 " + flag);
+    EXPECT_EQ(result.exit_code, 1) << flag << result.output;
+    EXPECT_NE(result.output.find("error: invalid_argument: " + name + " "),
+              std::string::npos)
+        << flag << result.output;
+    EXPECT_EQ(result.output.find("policy"), std::string::npos)
+        << flag << result.output;
   }
 }
 
@@ -414,7 +408,7 @@ TEST(Cli, ProfileOutAlsoEmitsPerfettoSidecar) {
 TEST(Cli, SweepMetricsOutIncludesOptimizerCounters) {
   const std::string path = testing::TempDir() + "ccnopt_sweep_metrics.json";
   const RunResult result =
-      run_cli("sweep --figure=4 --threads=2 --metrics-out=" + path);
+      run_cli("sweep --figure=4 --metrics-out=" + path);
   EXPECT_EQ(result.exit_code, 0) << result.output;
   const std::string json = slurp_file(path);
   EXPECT_NE(json.find("numerics.roots.brent.calls"), std::string::npos);

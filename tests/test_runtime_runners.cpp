@@ -1,78 +1,14 @@
-// Determinism contract of the sweep/replication engines: output is
-// bit-identical whatever the thread count, and matches the serial paths.
+// Determinism contract of the replication engine: output is bit-identical
+// whatever the thread count.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "ccnopt/model/sensitivity.hpp"
 #include "ccnopt/runtime/replication_runner.hpp"
-#include "ccnopt/runtime/sweep_runner.hpp"
 #include "ccnopt/topology/datasets.hpp"
 
 namespace ccnopt::runtime {
 namespace {
-
-void expect_same_points(const std::vector<model::SweepPoint>& a,
-                        const std::vector<model::SweepPoint>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].parameter, b[i].parameter) << "point " << i;
-    EXPECT_EQ(a[i].ell_star, b[i].ell_star) << "point " << i;
-    EXPECT_EQ(a[i].origin_load_reduction, b[i].origin_load_reduction)
-        << "point " << i;
-    EXPECT_EQ(a[i].routing_improvement, b[i].routing_improvement)
-        << "point " << i;
-  }
-}
-
-TEST(SweepRunner, MatchesSerialSweepBitForBit) {
-  const auto base = model::SystemParams::paper_defaults();
-  const auto grid = model::linspace(0.05, 1.0, 40);
-  const auto serial = model::sweep(base, model::SweepParameter::kAlpha, grid);
-  ASSERT_TRUE(serial.has_value());
-  ThreadPool pool(8);
-  const auto parallel =
-      SweepRunner(pool).run(base, model::SweepParameter::kAlpha, grid);
-  ASSERT_TRUE(parallel.has_value());
-  expect_same_points(*serial, *parallel);
-}
-
-TEST(SweepRunner, OneThreadEqualsEightThreads) {
-  const auto base = model::SystemParams::paper_defaults();
-  const auto grid = model::linspace(10.0, 500.0, 50);
-  ThreadPool one(1);
-  ThreadPool eight(8);
-  const auto a =
-      SweepRunner(one).run(base, model::SweepParameter::kRouters, grid);
-  const auto b =
-      SweepRunner(eight).run(base, model::SweepParameter::kRouters, grid);
-  ASSERT_TRUE(a.has_value());
-  ASSERT_TRUE(b.has_value());
-  expect_same_points(*a, *b);
-}
-
-TEST(SweepRunner, SkipsInvalidValuesLikeTheSerialSweep) {
-  const auto base = model::SystemParams::paper_defaults();
-  // s = 1 is the Zipf singular point: serial sweeps skip it.
-  const std::vector<double> grid{0.6, 0.8, 1.0, 1.2, 1.4};
-  ThreadPool pool(4);
-  const auto parallel =
-      SweepRunner(pool).run(base, model::SweepParameter::kZipf, grid);
-  const auto serial = model::sweep(base, model::SweepParameter::kZipf, grid);
-  ASSERT_TRUE(parallel.has_value());
-  ASSERT_TRUE(serial.has_value());
-  EXPECT_EQ(parallel->size(), 4u);
-  expect_same_points(*serial, *parallel);
-}
-
-TEST(SweepRunner, FailsWhenNoValueIsValid) {
-  const auto base = model::SystemParams::paper_defaults();
-  ThreadPool pool(2);
-  const auto result =
-      SweepRunner(pool).run(base, model::SweepParameter::kZipf, {1.0});
-  ASSERT_FALSE(result.has_value());
-  EXPECT_EQ(result.status().code(), ErrorCode::kInvalidArgument);
-}
 
 sim::SimConfig small_sim_config() {
   sim::SimConfig config;

@@ -47,9 +47,9 @@ TEST(ShardScheduler, ZeroShardsIsANoOp) {
 
 TEST(ShardScheduler, RunShardsIsABarrier) {
   // Plain (non-atomic) writes in one region must be visible to the next
-  // region's bodies: future get()/wait() inside run_shards is the
-  // happens-before edge the sharded engine relies on between its
-  // generate / merge / serve passes.
+  // region's bodies: ThreadPool::run's barrier is the happens-before edge
+  // the sharded engine relies on between its generate / merge / serve
+  // passes.
   ThreadPool pool(4);
   ShardScheduler scheduler(pool);
   constexpr std::size_t kShards = 8;
@@ -89,8 +89,8 @@ TEST(ShardScheduler, PooledBodyExceptionPropagates) {
 }
 
 TEST(ShardScheduler, InlineBodyExceptionPropagatesAfterBarrier) {
-  // The last shard runs inline on the caller; its exception must not skip
-  // the wait on the pooled bodies (they reference the callable).
+  // The caller runs shards too; an exception from one it ran must not
+  // skip the wait on the pooled bodies (they reference the callable).
   ThreadPool pool(2);
   ShardScheduler scheduler(pool);
   std::atomic<int> completed{0};

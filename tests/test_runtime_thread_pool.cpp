@@ -1,22 +1,21 @@
+// Contract tests for runtime::ThreadPool::run: every index runs exactly
+// once, run() is a barrier, the lowest-index exception surfaces only after
+// every body finished, and nested or concurrent runs complete.
 #include "ccnopt/runtime/thread_pool.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <memory>
+#include <cstddef>
+#include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 namespace ccnopt::runtime {
 namespace {
-
-TEST(ThreadPool, SubmitReturnsTaskResult) {
-  ThreadPool pool(2);
-  auto future = pool.submit([] { return 6 * 7; });
-  EXPECT_EQ(future.get(), 42);
-}
 
 TEST(ThreadPool, DefaultThreadCountIsPositive) {
   EXPECT_GE(ThreadPool::default_thread_count(), 1u);
@@ -24,60 +23,116 @@ TEST(ThreadPool, DefaultThreadCountIsPositive) {
   EXPECT_EQ(pool.thread_count(), ThreadPool::default_thread_count());
 }
 
-TEST(ThreadPool, ShutdownRunsEveryPendingTask) {
-  std::atomic<int> completed{0};
-  {
-    // One worker and a slow head-of-line task, so the remaining tasks are
-    // still queued when the destructor starts; they must run, not drop.
-    ThreadPool pool(1);
-    (void)pool.submit([&completed] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      ++completed;
-    });
-    for (int i = 0; i < 31; ++i) {
-      (void)pool.submit([&completed] { ++completed; });
+TEST(ThreadPool, RunCallsEveryIndexExactlyOnce) {
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    ThreadPool pool(threads);
+    EXPECT_EQ(pool.thread_count(), threads);
+    std::uint64_t expected_executed = 0;
+    for (const std::size_t count : {std::size_t{0}, std::size_t{1},
+                                    std::size_t{5}, std::size_t{16},
+                                    std::size_t{100}}) {
+      std::vector<std::atomic<int>> hits(count);
+      pool.run(count, [&hits](std::size_t i) {
+        hits[i].fetch_add(1, std::memory_order_relaxed);
+      });
+      for (std::size_t i = 0; i < count; ++i) {
+        EXPECT_EQ(hits[i].load(), 1)
+            << "threads=" << threads << " count=" << count << " i=" << i;
+      }
+      expected_executed += count;
     }
+    EXPECT_EQ(pool.tasks_executed(), expected_executed);
   }
-  EXPECT_EQ(completed.load(), 32);
 }
 
-TEST(ThreadPool, ExceptionPropagatesThroughFuture) {
-  ThreadPool pool(2);
-  auto future = pool.submit(
-      []() -> int { throw std::runtime_error("task failed"); });
-  EXPECT_THROW(future.get(), std::runtime_error);
+TEST(ThreadPool, RunIsABarrier) {
+  // Plain (non-atomic) writes of one run() must be visible to the caller
+  // and to the next run()'s bodies, whichever threads ran them.
+  ThreadPool pool(4);
+  constexpr std::size_t kCount = 8;
+  std::vector<std::size_t> staged(kCount, 0);
+  std::vector<std::size_t> folded(kCount, 0);
+  for (std::size_t round = 1; round <= 50; ++round) {
+    pool.run(kCount, [&staged, round](std::size_t i) {
+      staged[i] = round * (i + 1);
+    });
+    pool.run(kCount, [&staged, &folded](std::size_t i) {
+      folded[i] = staged[i];
+    });
+    for (std::size_t i = 0; i < kCount; ++i) {
+      ASSERT_EQ(folded[i], round * (i + 1)) << "round " << round;
+    }
+  }
+}
+
+TEST(ThreadPool, RethrowsLowestIndexExceptionAfterAllBodies) {
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    ThreadPool pool(threads);
+    constexpr std::size_t kCount = 12;
+    std::atomic<int> completed{0};
+    try {
+      pool.run(kCount, [&completed](std::size_t i) {
+        if (i == 3 || i == 7 || i == 10) {
+          throw std::runtime_error("body " + std::to_string(i));
+        }
+        // Slow bodies: a rethrow that skipped the barrier would read a
+        // short count below.
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        completed.fetch_add(1);
+      });
+      ADD_FAILURE() << "run() did not throw, threads=" << threads;
+    } catch (const std::runtime_error& error) {
+      EXPECT_EQ(std::string(error.what()), "body 3") << "threads=" << threads;
+    }
+    EXPECT_EQ(completed.load(), static_cast<int>(kCount) - 3)
+        << "threads=" << threads;
+  }
 }
 
 TEST(ThreadPool, TaskExceptionDoesNotKillWorkers) {
-  ThreadPool pool(1);
-  auto bad = pool.submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(bad.get(), std::runtime_error);
-  auto good = pool.submit([] { return 7; });
-  EXPECT_EQ(good.get(), 7);
+  ThreadPool pool(4);
+  EXPECT_THROW(pool.run(8,
+                        [](std::size_t i) {
+                          if (i % 2 == 0) throw std::runtime_error("boom");
+                        }),
+               std::runtime_error);
+  // The pool stays usable after a failed run, on every worker.
+  std::vector<std::atomic<int>> hits(64);
+  pool.run(hits.size(), [&hits](std::size_t i) { hits[i].fetch_add(1); });
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << "i=" << i;
+  }
+}
+
+TEST(ThreadPool, NestedRunCompletes) {
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> hits(6 * 5);
+  pool.run(6, [&pool, &hits](std::size_t outer) {
+    pool.run(5, [&hits, outer](std::size_t inner) {
+      hits[outer * 5 + inner].fetch_add(1, std::memory_order_relaxed);
+    });
+  });
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << "i=" << i;
+  }
 }
 
 TEST(ThreadPool, ManyTasksFromManySubmitters) {
+  // Concurrent run()s from four threads: one posts to the workers, the
+  // others find the pool busy and run inline; all must complete.
   ThreadPool pool(4);
   std::atomic<int> sum{0};
-  std::vector<std::thread> submitters;
+  std::vector<std::thread> callers;
   for (int t = 0; t < 4; ++t) {
-    submitters.emplace_back([&pool, &sum] {
-      std::vector<std::future<void>> futures;
-      for (int i = 0; i < 100; ++i) {
-        futures.push_back(pool.submit([&sum] { ++sum; }));
+    callers.emplace_back([&pool, &sum] {
+      for (int round = 0; round < 25; ++round) {
+        pool.run(4, [&sum](std::size_t) { sum.fetch_add(1); });
       }
-      for (auto& future : futures) future.get();
     });
   }
-  for (std::thread& submitter : submitters) submitter.join();
-  EXPECT_EQ(sum.load(), 400);
-}
-
-TEST(ThreadPool, MoveOnlyResultsSupported) {
-  ThreadPool pool(2);
-  auto future =
-      pool.submit([] { return std::make_unique<int>(99); });
-  EXPECT_EQ(*future.get(), 99);
+  for (std::thread& caller : callers) caller.join();
+  EXPECT_EQ(sum.load(), 4 * 25 * 4);
 }
 
 TEST(ThreadPoolDeath, ZeroThreadsRejected) {

@@ -2,7 +2,7 @@
 //
 //   ccnopt optimize  [--topology=us-a] [--alpha=0.7] [--gamma=5] [--s=0.8]
 //                    [--n=] [--c=1000] [--catalog=1e6] [--w=]
-//   ccnopt sweep     --figure=4..13 [--csv=path] [--threads=N]
+//   ccnopt sweep     --figure=4..13 [--csv=path]
 //   ccnopt simulate  [--topology=geant] [--x=100] [--requests=100000]
 //                    [--policy=static|lru|lfu|fifo|random] [--s=0.8]
 //                    [--strategy=coordinated-split] [--catalog=20000]
@@ -16,8 +16,14 @@
 // on-path strategies (lce, lcd, prob, prob-cap): static partitions never
 // admit, so an on-path strategy with --policy=static is rejected.
 //
-// --threads defaults to the hardware concurrency; results are bit-identical
-// for any thread count (deterministic seeding + ordered reduction).
+// simulate range-checks its numbers before anything runs: --catalog >= 1,
+// --c >= 1, 0 <= --x <= --c, --requests >= 1 and --s > 0.
+//
+// --threads sizes the simulate worker pool (replications, or the shards of
+// one run) and defaults to the hardware concurrency; results are
+// bit-identical for any thread count (deterministic seeding + ordered
+// reduction). sweep always runs on one thread: a figure's grid solves in
+// about a millisecond.
 //
 // --shards=S parallelizes a SINGLE simulate run across S worker shards
 // (windowed request engine; see DESIGN.md §14), which also serves
@@ -58,7 +64,6 @@
 #include <algorithm>
 #include <fstream>
 #include <iostream>
-#include <optional>
 
 #include "ccnopt/common/args.hpp"
 #include "ccnopt/common/strings.hpp"
@@ -299,9 +304,6 @@ int cmd_optimize(const ArgParser& args) {
 int cmd_sweep(const ArgParser& args) {
   const auto figure = args.get_int("figure", 4);
   if (!figure) return fail(figure.status());
-  const auto threads = parse_threads(args);
-  if (!threads) return fail(threads.status());
-  runtime::ThreadPool pool(*threads);
   const model::SystemParams base = model::SystemParams::paper_defaults();
   experiments::FigureData data;
   experiments::Metric metric = experiments::Metric::kEllStar;
@@ -309,20 +311,20 @@ int cmd_sweep(const ArgParser& args) {
     case 4:
     case 8:
     case 12:
-      data = experiments::sweep_vs_alpha(base, &pool);
+      data = experiments::sweep_vs_alpha(base);
       break;
     case 5:
     case 9:
     case 13:
-      data = experiments::sweep_vs_zipf(base, &pool);
+      data = experiments::sweep_vs_zipf(base);
       break;
     case 6:
     case 10:
-      data = experiments::sweep_vs_routers(base, &pool);
+      data = experiments::sweep_vs_routers(base);
       break;
     case 7:
     case 11:
-      data = experiments::sweep_vs_unit_cost(base, &pool);
+      data = experiments::sweep_vs_unit_cost(base);
       break;
     default:
       return fail(Status(ErrorCode::kInvalidArgument,
@@ -353,18 +355,35 @@ int cmd_simulate(const ArgParser& args) {
   sim::SimConfig config;
   const auto catalog = args.get_int("catalog", 20000);
   if (!catalog) return fail(catalog.status());
+  if (*catalog < 1) {
+    return fail(Status(ErrorCode::kInvalidArgument, "--catalog must be >= 1"));
+  }
   config.network.catalog_size = static_cast<std::uint64_t>(*catalog);
   const auto capacity = args.get_int("c", 200);
   if (!capacity) return fail(capacity.status());
+  if (*capacity < 1) {
+    return fail(Status(ErrorCode::kInvalidArgument, "--c must be >= 1"));
+  }
   config.network.capacity_c = static_cast<std::size_t>(*capacity);
   const auto x = args.get_int("x", 100);
   if (!x) return fail(x.status());
+  if (*x < 0 || *x > *capacity) {
+    return fail(Status(ErrorCode::kInvalidArgument,
+                       "--x must be in [0, --c]"));
+  }
   config.coordinated_x = static_cast<std::size_t>(*x);
   const auto requests = args.get_int("requests", 100000);
   if (!requests) return fail(requests.status());
+  if (*requests < 1) {
+    return fail(
+        Status(ErrorCode::kInvalidArgument, "--requests must be >= 1"));
+  }
   config.measured_requests = static_cast<std::uint64_t>(*requests);
   const auto s = args.get_double("s", 0.8);
   if (!s) return fail(s.status());
+  if (*s <= 0.0) {
+    return fail(Status(ErrorCode::kInvalidArgument, "--s must be > 0"));
+  }
   config.zipf_s = *s;
   const auto seed = args.get_int("seed", 42);
   if (!seed) return fail(seed.status());
@@ -488,14 +507,11 @@ int cmd_simulate(const ArgParser& args) {
 
   sim::Simulation simulation(*graph, config);
   // Give the windowed engine real threads for the single-run case; pool
-  // size tracks --threads so --shards=8 --threads=1 still means one core.
-  std::optional<runtime::ThreadPool> pool;
-  std::optional<runtime::ShardScheduler> scheduler;
-  if (config.shards > 1) {
-    pool.emplace(std::min(*threads, config.shards));
-    scheduler.emplace(*pool);
-    simulation.set_shard_executor(&*scheduler);
-  }
+  // size tracks --threads so --shards=8 --threads=1 still means one core,
+  // and --shards=1 starts no thread.
+  runtime::ThreadPool pool(std::min(*threads, config.shards));
+  runtime::ShardScheduler scheduler(pool);
+  simulation.set_shard_executor(&scheduler);
   const sim::SimReport report = simulation.run();
   std::cout << "topology " << graph->name() << ", policy " << policy
             << ", strategy " << strategy_name

@@ -4,11 +4,13 @@
 # strategy subsystem driving the data plane, the topology-resolved
 # flight recorder fed from the serve hot path, the route table's search
 # kernels, the topology edge-list parser and the argument parser on
-# malformed and seeded random input, and the sharded request engine)
-# under AddressSanitizer + UndefinedBehaviorSanitizer, then the
-# concurrency-critical shard suites again under ThreadSanitizer — the
-# sharded engine mutates shared cache stores from pool threads, so TSan is
-# the proof that the router partition really is race-free.
+# malformed and seeded random input, the sharded request engine, and the
+# fork-join worker pool with the replication runner on it) under
+# AddressSanitizer + UndefinedBehaviorSanitizer, then the
+# concurrency-critical suites again under ThreadSanitizer — the sharded
+# engine mutates shared cache stores from pool threads, and
+# ThreadPool::run hands each body's writes to its caller through one
+# atomic countdown, so TSan is the proof that both are race-free.
 #
 # Usage: run_sanitized_tests.sh <source-dir> <build-dir>
 #
@@ -43,6 +45,8 @@ TARGETS=(
   test_topology_io
   test_common_args
   test_golden_digests
+  test_runtime_thread_pool
+  test_runtime_runners
   test_runtime_shard_scheduler
 )
 
@@ -54,9 +58,14 @@ TARGETS=(
 # test_topology_route_table builds tables of 5 and 16 source blocks,
 # whose constructor starts helper threads that each claim blocks from one
 # atomic counter and fill those rows of the one table.
+# test_runtime_thread_pool checks ThreadPool::run's barrier, exception and
+# nested/concurrent-run contract on real workers, and test_runtime_runners
+# runs replications on 1 and 8 threads.
 TSAN_TARGETS=(
   test_topology_route_table
   test_golden_digests
+  test_runtime_thread_pool
+  test_runtime_runners
   test_runtime_shard_scheduler
 )
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <system_error>
 #include <utility>
 
 #include "ccnopt/common/assert.hpp"
@@ -26,7 +27,14 @@ ThreadPool::ThreadPool(std::size_t thread_count) {
   CCNOPT_EXPECTS(thread_count >= 1);
   workers_.reserve(thread_count - 1);
   for (std::size_t i = 1; i < thread_count; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+    // A worker that cannot start leaves its share to the others: run()
+    // is correct with any number of workers, and the workers already
+    // started must not be destroyed unjoined.
+    try {
+      workers_.emplace_back([this] { worker_loop(); });
+    } catch (const std::system_error&) {
+      break;
+    }
   }
 }
 

@@ -22,8 +22,9 @@ namespace ccnopt::runtime {
 class ThreadPool {
  public:
   /// A pool of `thread_count` threads: the caller of run() plus
-  /// thread_count - 1 workers, so ThreadPool(1) starts none. Requires
-  /// thread_count >= 1.
+  /// thread_count - 1 workers, so ThreadPool(1) starts none (fewer when
+  /// the system refuses a thread; thread_count() reports what started).
+  /// Requires thread_count >= 1.
   explicit ThreadPool(std::size_t thread_count = default_thread_count());
 
   /// Joins the workers. Calling run() while the destructor runs is a

@@ -9,8 +9,8 @@
 # AddressSanitizer + UndefinedBehaviorSanitizer, then the
 # concurrency-critical suites again under ThreadSanitizer — the sharded
 # engine mutates shared cache stores from pool threads, and
-# ThreadPool::run hands each body's writes to its caller through one
-# atomic countdown, so TSan is the proof that both are race-free.
+# ThreadPool::run hands each body's writes and exceptions to its caller
+# across threads, so TSan is the proof that both are race-free.
 #
 # Usage: run_sanitized_tests.sh <source-dir> <build-dir>
 #

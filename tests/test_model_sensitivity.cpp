@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <vector>
+
 namespace ccnopt::model {
 namespace {
 
@@ -154,6 +157,36 @@ TEST(MaxSensitivity, HigherGammaShiftsSensitivityEarlier) {
   ASSERT_TRUE(range_high.has_value());
   // Higher gamma's curve sits above, so it crosses the levels earlier.
   EXPECT_LT(range_high->low, range_low->low);
+}
+
+// A sweep evaluates each valid value on its own: the points of a grid
+// sweep equal, bit for bit, the one-value sweeps of its valid values.
+TEST(SweepRunner, SkipsInvalidValuesLikeTheSerialSweep) {
+  // s = 1 is the Zipf singular point: the sweep skips it.
+  const std::vector<double> grid{0.6, 0.8, 1.0, 1.2, 1.4};
+  const auto swept = sweep(base(), SweepParameter::kZipf, grid);
+  ASSERT_TRUE(swept.has_value());
+  ASSERT_EQ(swept->size(), 4u);
+  std::size_t next = 0;
+  for (const double value : grid) {
+    if (value == 1.0) continue;
+    const auto single = sweep(base(), SweepParameter::kZipf, {value});
+    ASSERT_TRUE(single.has_value()) << "s=" << value;
+    ASSERT_EQ(single->size(), 1u);
+    const SweepPoint& a = (*swept)[next++];
+    const SweepPoint& b = single->front();
+    EXPECT_EQ(a.parameter, b.parameter) << "s=" << value;
+    EXPECT_EQ(a.ell_star, b.ell_star) << "s=" << value;
+    EXPECT_EQ(a.origin_load_reduction, b.origin_load_reduction)
+        << "s=" << value;
+    EXPECT_EQ(a.routing_improvement, b.routing_improvement) << "s=" << value;
+  }
+}
+
+TEST(SweepRunner, FailsWhenNoValueIsValid) {
+  const auto result = sweep(base(), SweepParameter::kZipf, {1.0, 1.0});
+  ASSERT_FALSE(result.has_value());
+  EXPECT_EQ(result.status().code(), ErrorCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -23,6 +23,28 @@ TEST(ThreadPool, DefaultThreadCountIsPositive) {
   EXPECT_EQ(pool.thread_count(), ThreadPool::default_thread_count());
 }
 
+TEST(ThreadPool, SubmitReturnsTaskResult) {
+  // run() returns no values: a body hands its result back through the
+  // slot its index owns, and the barrier makes it visible to the caller.
+  ThreadPool pool(2);
+  std::vector<int> results(2, 0);
+  pool.run(results.size(), [&results](std::size_t i) {
+    results[i] = 6 * 7 + static_cast<int>(i);
+  });
+  EXPECT_EQ(results[0], 42);
+  EXPECT_EQ(results[1], 43);
+}
+
+TEST(ThreadPool, ExceptionPropagatesThroughFuture) {
+  // A body's exception reaches run()'s caller, whichever thread ran it.
+  ThreadPool pool(2);
+  EXPECT_THROW(pool.run(2,
+                        [](std::size_t) {
+                          throw std::runtime_error("task failed");
+                        }),
+               std::runtime_error);
+}
+
 TEST(ThreadPool, RunCallsEveryIndexExactlyOnce) {
   for (const std::size_t threads :
        {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
@@ -133,6 +155,48 @@ TEST(ThreadPool, ManyTasksFromManySubmitters) {
   }
   for (std::thread& caller : callers) caller.join();
   EXPECT_EQ(sum.load(), 4 * 25 * 4);
+}
+
+// run() as a parallel for loop over [0, count).
+TEST(ParallelFor, VisitsEachIndexExactlyOnce) {
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> visits(257);
+  pool.run(visits.size(), [&visits](std::size_t i) { ++visits[i]; });
+  for (const auto& count : visits) EXPECT_EQ(count.load(), 1);
+}
+
+TEST(ParallelFor, EmptyRangeIsANoOp) {
+  ThreadPool pool(2);
+  std::atomic<int> calls{0};
+  pool.run(0, [&calls](std::size_t) { ++calls; });
+  EXPECT_EQ(calls.load(), 0);
+  EXPECT_EQ(pool.tasks_executed(), 0u);
+}
+
+TEST(ParallelFor, PropagatesBodyException) {
+  ThreadPool pool(4);
+  const auto run = [&pool] {
+    pool.run(100, [](std::size_t i) {
+      if (i == 37) throw std::runtime_error("index 37 failed");
+    });
+  };
+  EXPECT_THROW(run(), std::runtime_error);
+}
+
+TEST(ParallelFor, OtherChunksCompleteDespiteException) {
+  ThreadPool pool(4);
+  std::atomic<int> visited{0};
+  try {
+    pool.run(64, [&visited](std::size_t i) {
+      if (i == 0) throw std::runtime_error("index 0 dies immediately");
+      ++visited;
+    });
+    FAIL() << "expected an exception";
+  } catch (const std::runtime_error&) {
+  }
+  // run() claims single indices, so only the throwing body is lost: every
+  // other index ran to completion before run() returned.
+  EXPECT_EQ(visited.load(), 63);
 }
 
 TEST(ThreadPoolDeath, ZeroThreadsRejected) {

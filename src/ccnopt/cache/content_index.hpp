@@ -5,10 +5,12 @@
 // and the choice never changes, so the per-request branch is perfectly
 // predicted.
 //
-// kAuto resolves to sparse only when the declared catalog is both large in
-// absolute terms and much larger than the capacity — the paper's
-// heavy-tail, c << N regime — so small-catalog runs keep the dense table's
-// single-load lookups and their historical memory profile.
+// kAuto resolves to sparse exactly when the declared catalog is at least
+// kSparseRatio times the capacity — the paper's c << N regime, where a
+// dense table per router would be mostly empty and, at N = 10^6, far past
+// the LLC. Small catalogs relative to the capacity keep the dense table's
+// single-load lookups. The choice never changes what a cache holds, only
+// how its membership is looked up.
 #pragma once
 
 #include <cstdint>
@@ -24,8 +26,6 @@ class ContentIndex {
   static constexpr std::uint32_t kNoSlot = SlotMap::kNoSlot;
   static_assert(SlotMap::kNoSlot == SparseSlotMap::kNoSlot);
 
-  /// Catalog size below which kAuto never goes sparse.
-  static constexpr std::uint64_t kSparseCatalogFloor = 1ull << 20;
   /// Minimum catalog/capacity ratio for kAuto to go sparse.
   static constexpr std::uint64_t kSparseRatio = 64;
 
@@ -86,7 +86,7 @@ class ContentIndex {
       case IndexMode::kAuto:
         break;
     }
-    if (spec.catalog_hint < kSparseCatalogFloor) return false;
+    if (spec.catalog_hint == 0) return false;  // unknown catalog
     const std::uint64_t floor_capacity =
         capacity == 0 ? 1 : static_cast<std::uint64_t>(capacity);
     return spec.catalog_hint / floor_capacity >= kSparseRatio;

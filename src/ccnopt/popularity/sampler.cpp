@@ -1,5 +1,6 @@
 #include "ccnopt/popularity/sampler.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "ccnopt/common/assert.hpp"
@@ -85,7 +86,32 @@ std::uint64_t AliasSampler::sample(Rng& rng) {
 
 void AliasSampler::sample_block(Rng& rng, std::uint64_t* out,
                                 std::size_t count) {
-  for (std::size_t i = 0; i < count; ++i) out[i] = AliasSampler::sample(rng);
+  // Two passes per chunk: the first draws every (bucket, uniform) pair in
+  // sample()'s RNG order and prefetches the bucket's table cells, the
+  // second resolves accept-or-alias once those loads have landed. A table
+  // past the LLC then costs overlapped misses instead of one serial miss
+  // per draw; the output stream is unchanged.
+  constexpr std::size_t kChunk = 64;
+  std::uint64_t buckets[kChunk];
+  double uniforms[kChunk];
+  const std::uint64_t last = prob_.size() - 1;
+  for (std::size_t base = 0; base < count; base += kChunk) {
+    const std::size_t n = std::min(kChunk, count - base);
+    for (std::size_t i = 0; i < n; ++i) {
+      buckets[i] = rng.uniform_int(0, last);
+      uniforms[i] = rng.uniform();
+#if defined(__GNUC__) || defined(__clang__)
+      __builtin_prefetch(&prob_[buckets[i]]);
+      __builtin_prefetch(&alias_[buckets[i]]);
+#endif
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t bucket = buckets[i];
+      const std::uint64_t index =
+          uniforms[i] < prob_[bucket] ? bucket : alias_[bucket];
+      out[base + i] = index + 1;  // ranks are 1-based
+    }
+  }
 }
 
 ZipfRejectionSampler::ZipfRejectionSampler(std::uint64_t catalog_size,

@@ -57,8 +57,9 @@ class AliasSampler final : public RankSampler {
   explicit AliasSampler(const ZipfDistribution& zipf);
 
   std::uint64_t sample(Rng& rng) override;
-  /// Block draws devirtualized through the final class (the inner sample()
-  /// calls inline); same stream as repeated sample().
+  /// Block draws in prefetched chunks: all of a chunk's buckets are drawn
+  /// and their table cells prefetched before any is resolved, so a table
+  /// past the LLC overlaps its misses. Same stream as repeated sample().
   void sample_block(Rng& rng, std::uint64_t* out, std::size_t count) override;
   std::uint64_t catalog_size() const override { return prob_.size(); }
 

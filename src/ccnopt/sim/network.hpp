@@ -55,11 +55,11 @@ struct NetworkConfig {
     std::uint32_t extra_hops = 1;
   };
   std::vector<OriginSpec> origins;
-  /// Membership-index selection for the flat local partitions: kAuto keeps
-  /// the dense array for small catalogs and switches to the O(capacity)
-  /// robin-hood index when catalog_size dwarfs the per-router capacity
-  /// (see cache/content_index.hpp for the exact rule). Forcing kDense at
-  /// web-scale catalogs allocates O(catalog) words per router.
+  /// Membership-index selection for the flat local partitions: kAuto
+  /// switches from the dense array to the O(capacity) robin-hood index
+  /// once catalog_size is 64x the partition's capacity (see
+  /// cache/content_index.hpp). Forcing kDense at web-scale catalogs
+  /// allocates O(catalog) words per router.
   cache::IndexMode cache_index_mode = cache::IndexMode::kAuto;
   /// Registered caching-strategy name (strategy/registry.hpp) that decides
   /// both placement (what provision() puts where) and forwarding (how

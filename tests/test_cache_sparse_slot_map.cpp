@@ -133,21 +133,36 @@ TEST(SparseSlotMap, PrefetchIsSideEffectFree) {
 }
 
 TEST(ContentIndex, AutoRuleSelectsSparseOnlyAtScale) {
-  // Small catalog or comparable capacity -> dense (historical behaviour).
-  EXPECT_FALSE(ContentIndex(IndexSpec{IndexMode::kAuto, 20000}, 200)
-                   .sparse_active());
-  EXPECT_FALSE(ContentIndex(IndexSpec{IndexMode::kAuto, 0}, 200)
-                   .sparse_active());
-  // Huge catalog, tiny capacity -> sparse.
-  EXPECT_TRUE(ContentIndex(IndexSpec{IndexMode::kAuto, 10000000}, 1000)
-                  .sparse_active());
-  // Huge catalog but capacity within 64x -> dense stays affordable.
-  EXPECT_FALSE(ContentIndex(IndexSpec{IndexMode::kAuto, 10000000}, 1000000)
-                   .sparse_active());
+  // kAuto goes sparse exactly when catalog/capacity >= kSparseRatio (64),
+  // whatever the catalog's absolute size.
+  const auto auto_sparse = [](std::uint64_t catalog, std::size_t capacity) {
+    return ContentIndex(IndexSpec{IndexMode::kAuto, catalog}, capacity)
+        .sparse_active();
+  };
+  static_assert(ContentIndex::kSparseRatio == 64);
+  EXPECT_TRUE(auto_sparse(20000, 200));
+  EXPECT_TRUE(auto_sparse(12800, 200));   // exactly 64x
+  EXPECT_FALSE(auto_sparse(12799, 200));  // just under 64x
+  EXPECT_TRUE(auto_sparse(10000000, 1000));
+  // The paper's Table IV scale: each router's 63-entry LRU partition.
+  EXPECT_TRUE(auto_sparse(1000000, 63));
+  // Capacity within 64x of the catalog: dense stays affordable.
+  EXPECT_FALSE(auto_sparse(10000000, 1000000));
+  EXPECT_FALSE(auto_sparse(2000, 50));
+  // An unknown catalog (hint 0) stays dense at any capacity.
+  EXPECT_FALSE(auto_sparse(0, 200));
+  EXPECT_FALSE(auto_sparse(0, 0));
+  // Capacity 0 divides as capacity 1.
+  EXPECT_TRUE(auto_sparse(64, 0));
+  EXPECT_FALSE(auto_sparse(63, 0));
   // Forcing wins over the rule in both directions.
   EXPECT_TRUE(ContentIndex(IndexSpec{IndexMode::kSparse, 0}, 10)
                   .sparse_active());
+  EXPECT_TRUE(ContentIndex(IndexSpec{IndexMode::kSparse, 100}, 100)
+                  .sparse_active());
   EXPECT_FALSE(ContentIndex(IndexSpec{IndexMode::kDense, 10000000}, 10)
+                   .sparse_active());
+  EXPECT_FALSE(ContentIndex(IndexSpec{IndexMode::kDense, 20000}, 200)
                    .sparse_active());
 }
 

@@ -216,6 +216,21 @@ TEST(Cli, SimulateRejectsOutOfRangeNumbers) {
   }
 }
 
+TEST(Cli, FailedSubcommandWritesNoExportsAndNoUnusedWarnings) {
+  // --c=-5 stops the run before --metrics-out is read: that flag is not
+  // "unused", and a run that never happened has no metrics to write.
+  const std::string path = testing::TempDir() + "ccnopt_failed_metrics.json";
+  std::remove(path.c_str());
+  const RunResult result = run_cli(
+      "simulate --topology=abilene --requests=2000 --c=-5 --metrics-out=" +
+      path);
+  EXPECT_EQ(result.exit_code, 1) << result.output;
+  EXPECT_EQ(result.output.find("unused option"), std::string::npos)
+      << result.output;
+  EXPECT_FALSE(std::ifstream(path).good()) << path;
+  std::remove(path.c_str());
+}
+
 TEST(Cli, SimulateRejectsBadReplicationCount) {
   const RunResult result = run_cli("simulate --replications=0");
   EXPECT_NE(result.exit_code, 0);

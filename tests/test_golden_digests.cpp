@@ -536,27 +536,45 @@ TEST(GoldenDigestFile, ListsEveryCellExactlyOnce) {
 // run clocks.
 
 TEST(SimIndexDeterminism, SparseIndexActiveWhereExpected) {
-  // kAuto keeps dense at this catalog (50000 < the auto floor); forcing
-  // sparse flips every dynamic local partition.
+  // Counts the routers whose dynamic local partition runs the sparse
+  // index, over the whole US-A topology.
+  const auto sparse_routers = [](const SimConfig& config) {
+    Simulation sim(topology::us_a(), config);
+    sim.run();
+    std::size_t sparse = 0;
+    for (topology::NodeId id = 0; id < sim.network().router_count(); ++id) {
+      const auto* local = dynamic_cast<const cache::LruCache*>(
+          &sim.network().store(id).local());
+      EXPECT_NE(local, nullptr) << "router " << id;
+      if (local != nullptr && local->index_is_sparse()) ++sparse;
+    }
+    return sparse;
+  };
+  const std::size_t routers = topology::us_a().node_count();
+
+  // base_config's local partition holds c - x = 25 contents, so kAuto
+  // flips at a catalog of exactly 64 x 25 = 1600.
   SimConfig config = base_config();
-  config.network.catalog_size = 50000;
-  {
-    Simulation sim(topology::us_a(), config);
-    sim.run();
-    const auto* local = dynamic_cast<const cache::LruCache*>(
-        &sim.network().store(0).local());
-    ASSERT_NE(local, nullptr);
-    EXPECT_FALSE(local->index_is_sparse());
-  }
+  config.network.catalog_size = 1599;
+  EXPECT_EQ(sparse_routers(config), 0u);
   config.network.cache_index_mode = cache::IndexMode::kSparse;
-  {
-    Simulation sim(topology::us_a(), config);
-    sim.run();
-    const auto* local = dynamic_cast<const cache::LruCache*>(
-        &sim.network().store(0).local());
-    ASSERT_NE(local, nullptr);
-    EXPECT_TRUE(local->index_is_sparse());
-  }
+  EXPECT_EQ(sparse_routers(config), routers);
+
+  config.network.cache_index_mode = cache::IndexMode::kAuto;
+  config.network.catalog_size = 1600;
+  EXPECT_EQ(sparse_routers(config), routers);
+  config.network.cache_index_mode = cache::IndexMode::kDense;
+  EXPECT_EQ(sparse_routers(config), 0u);
+
+  // Table IV scale (N = 10^6, c = 1000, x = 937): below the sampler's
+  // 2^20 switch, yet every 63-entry partition is sparse.
+  SimConfig paper = base_config();
+  paper.network.catalog_size = 1000000;
+  paper.network.capacity_c = 1000;
+  paper.coordinated_x = 937;
+  paper.warmup_requests = 1000;
+  paper.measured_requests = 2000;
+  EXPECT_EQ(sparse_routers(paper), routers);
 }
 
 /// Runs the bodies serially and remembers the widest region it ran.

@@ -216,6 +216,40 @@ TEST(AliasSampler, SingleCategory) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(sampler.sample(rng), 1u);
 }
 
+/// sample_block(count) must write exactly what `count` successive sample()
+/// calls return and leave the Rng where they leave it, for counts around
+/// the alias sampler's 64-draw chunk.
+void expect_block_matches_repeated(RankSampler& sampler, std::uint64_t seed) {
+  for (const std::size_t count : {0, 1, 63, 64, 65, 256, 1000}) {
+    Rng block_rng(seed);
+    Rng single_rng(seed);
+    std::vector<std::uint64_t> block(count);
+    sampler.sample_block(block_rng, block.data(), count);
+    for (std::size_t i = 0; i < count; ++i) {
+      ASSERT_EQ(block[i], sampler.sample(single_rng))
+          << "count " << count << ", draw " << i;
+    }
+    EXPECT_EQ(block_rng.engine()(), single_rng.engine()())
+        << "count " << count;
+  }
+}
+
+TEST(AliasSampler, SampleBlockMatchesRepeatedSample) {
+  AliasSampler zipf(ZipfDistribution(100000, 0.8));
+  expect_block_matches_repeated(zipf, 11);
+  AliasSampler weighted(std::vector<double>{1.0, 0.0, 2.0, 0.5});
+  expect_block_matches_repeated(weighted, 12);
+  AliasSampler single(std::vector<double>{3.0});
+  expect_block_matches_repeated(single, 13);
+}
+
+TEST(ZipfRejectionSampler, SampleBlockMatchesRepeatedSample) {
+  ZipfRejectionSampler sampler(1000000, 0.8);
+  expect_block_matches_repeated(sampler, 14);
+  ZipfRejectionSampler unit_exponent(5000, 1.0);
+  expect_block_matches_repeated(unit_exponent, 15);
+}
+
 TEST(AliasSamplerDeath, RejectsInvalidWeights) {
   EXPECT_DEATH(AliasSampler(std::vector<double>{}), "precondition");
   EXPECT_DEATH(AliasSampler(std::vector<double>{0.0, 0.0}), "precondition");

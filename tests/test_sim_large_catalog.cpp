@@ -39,7 +39,7 @@ TEST(SimLargeCatalog, TenMillionContentsRunToCompletion) {
   EXPECT_GT(report.mean_latency_ms, 0.0);
   EXPECT_GT(report.mean_hops, 0.0);
 
-  // The auto rule (catalog >= 2^20, catalog/capacity >= 64) must have
+  // The auto rule (catalog/capacity >= 64) must have
   // switched every dynamic local partition to the robin-hood index — the
   // dense path would need a 10 M-slot vector per router.
   for (topology::NodeId id = 0; id < sim.network().router_count(); ++id) {

@@ -738,9 +738,10 @@ int main(int argc, char** argv) {
     std::cerr << "unknown subcommand '" << command << "'\n";
     return usage(), 1;
   }
-  if (const int obs_code = write_obs_outputs(args); obs_code != 0 && code == 0) {
-    code = obs_code;
-  }
+  // A failed subcommand stopped before reading its later flags and ran
+  // nothing worth exporting: its error is the whole report.
+  if (code != 0) return code;
+  code = write_obs_outputs(args);
   for (const std::string& key : args.unused_keys()) {
     std::cerr << "warning: unused option --" << key << "\n";
   }

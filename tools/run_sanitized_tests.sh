@@ -59,8 +59,10 @@ TARGETS=(
 # whose constructor starts helper threads that each claim blocks from one
 # atomic counter and fill those rows of the one table.
 # test_runtime_thread_pool checks ThreadPool::run's barrier, exception and
-# nested/concurrent-run contract on real workers, and test_runtime_runners
-# runs replications on 1 and 8 threads.
+# nested/concurrent-run contract on real workers; it runs 20 times over,
+# because a race between threads shows only under some interleavings and
+# one pass has let a race on the rethrown exception through.
+# test_runtime_runners runs replications on 1 and 8 threads.
 TSAN_TARGETS=(
   test_topology_route_table
   test_golden_digests
@@ -106,7 +108,10 @@ cmake --build "${TSAN_DIR}" --parallel "${JOBS}" --target "${TSAN_TARGETS[@]}"
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
 for target in "${TSAN_TARGETS[@]}"; do
   echo "== tsan: ${target} =="
-  if ! "${TSAN_DIR}/tests/${target}" --gtest_brief=1; then
+  repeat=1
+  if [[ "${target}" == test_runtime_thread_pool ]]; then repeat=20; fi
+  if ! "${TSAN_DIR}/tests/${target}" --gtest_brief=1 \
+      --gtest_repeat="${repeat}"; then
     STATUS=1
   fi
 done

@@ -5,12 +5,14 @@
 // and the choice never changes, so the per-request branch is perfectly
 // predicted.
 //
-// kAuto resolves to sparse exactly when the declared catalog is at least
-// kSparseRatio times the capacity — the paper's c << N regime, where a
-// dense table per router would be mostly empty and, at N = 10^6, far past
-// the LLC. Small catalogs relative to the capacity keep the dense table's
-// single-load lookups. The choice never changes what a cache holds, only
-// how its membership is looked up.
+// kAuto resolves to sparse when the dense table would be large (at least
+// kDenseBudgetBytes: one 4-byte slot per catalog id) and mostly empty
+// (the catalog at least kSparseRatio times the capacity) — the paper's
+// c << N regime, where at N = 10^6 every router's dense table is 4 MB.
+// A smaller dense table stays in the core's private caches, and there its
+// single-load lookup beats the robin-hood probe; the 512 KiB budget sits
+// where the measured serve loop changes sides (DESIGN.md §10). The choice
+// never changes what a cache holds, only how its membership is looked up.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +28,8 @@ class ContentIndex {
   static constexpr std::uint32_t kNoSlot = SlotMap::kNoSlot;
   static_assert(SlotMap::kNoSlot == SparseSlotMap::kNoSlot);
 
+  /// Dense-table size (catalog x 4 B) below which kAuto stays dense.
+  static constexpr std::uint64_t kDenseBudgetBytes = 1ull << 19;
   /// Minimum catalog/capacity ratio for kAuto to go sparse.
   static constexpr std::uint64_t kSparseRatio = 64;
 
@@ -86,7 +90,10 @@ class ContentIndex {
       case IndexMode::kAuto:
         break;
     }
-    if (spec.catalog_hint == 0) return false;  // unknown catalog
+    // An unknown catalog (hint 0) falls under the budget too.
+    if (spec.catalog_hint < kDenseBudgetBytes / sizeof(std::uint32_t)) {
+      return false;
+    }
     const std::uint64_t floor_capacity =
         capacity == 0 ? 1 : static_cast<std::uint64_t>(capacity);
     return spec.catalog_hint / floor_capacity >= kSparseRatio;

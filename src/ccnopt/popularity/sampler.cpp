@@ -49,28 +49,28 @@ void AliasSampler::build(const std::vector<double>& weights) {
   }
   CCNOPT_EXPECTS(total > 0.0);
 
-  prob_.assign(n, 0.0);
+  // Scaled probabilities (mean 1), kept in prob_ itself: a bucket's value
+  // is final once it leaves the small stack, and only the large bucket
+  // that absorbs its remainder changes after that.
+  prob_.resize(n);
   alias_.assign(n, 0);
-  // Scaled probabilities: mean 1.
-  std::vector<double> scaled(n);
   for (std::size_t i = 0; i < n; ++i) {
-    scaled[i] = weights[i] * static_cast<double>(n) / total;
+    prob_[i] = weights[i] * static_cast<double>(n) / total;
   }
   std::vector<std::uint32_t> small, large;
   small.reserve(n);
   large.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    (scaled[i] < 1.0 ? small : large).push_back(static_cast<std::uint32_t>(i));
+    (prob_[i] < 1.0 ? small : large).push_back(static_cast<std::uint32_t>(i));
   }
   while (!small.empty() && !large.empty()) {
     const std::uint32_t s = small.back();
     small.pop_back();
     const std::uint32_t l = large.back();
     large.pop_back();
-    prob_[s] = scaled[s];
     alias_[s] = l;
-    scaled[l] = (scaled[l] + scaled[s]) - 1.0;
-    (scaled[l] < 1.0 ? small : large).push_back(l);
+    prob_[l] = (prob_[l] + prob_[s]) - 1.0;
+    (prob_[l] < 1.0 ? small : large).push_back(l);
   }
   // Leftovers are numerically 1.
   for (std::uint32_t i : large) prob_[i] = 1.0;

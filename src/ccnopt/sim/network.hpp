@@ -57,9 +57,9 @@ struct NetworkConfig {
   std::vector<OriginSpec> origins;
   /// Membership-index selection for the flat local partitions: kAuto
   /// switches from the dense array to the O(capacity) robin-hood index
-  /// once catalog_size is 64x the partition's capacity (see
-  /// cache/content_index.hpp). Forcing kDense at web-scale catalogs
-  /// allocates O(catalog) words per router.
+  /// once catalog_size reaches 2^17 (a 512 KiB dense table) and 64x the
+  /// partition's capacity (see cache/content_index.hpp). Forcing kDense
+  /// at web-scale catalogs allocates O(catalog) words per router.
   cache::IndexMode cache_index_mode = cache::IndexMode::kAuto;
   /// Registered caching-strategy name (strategy/registry.hpp) that decides
   /// both placement (what provision() puts where) and forwarding (how

@@ -133,28 +133,35 @@ TEST(SparseSlotMap, PrefetchIsSideEffectFree) {
 }
 
 TEST(ContentIndex, AutoRuleSelectsSparseOnlyAtScale) {
-  // kAuto goes sparse exactly when catalog/capacity >= kSparseRatio (64),
-  // whatever the catalog's absolute size.
+  // kAuto goes sparse exactly when the dense table would reach
+  // kDenseBudgetBytes (catalog x 4 B >= 512 KiB, so catalog >= 2^17) and
+  // catalog/capacity >= kSparseRatio (64).
   const auto auto_sparse = [](std::uint64_t catalog, std::size_t capacity) {
     return ContentIndex(IndexSpec{IndexMode::kAuto, catalog}, capacity)
         .sparse_active();
   };
+  static_assert(ContentIndex::kDenseBudgetBytes == 512 * 1024);
   static_assert(ContentIndex::kSparseRatio == 64);
-  EXPECT_TRUE(auto_sparse(20000, 200));
-  EXPECT_TRUE(auto_sparse(12800, 200));   // exactly 64x
-  EXPECT_FALSE(auto_sparse(12799, 200));  // just under 64x
+  // The budget boundary, far past 64x the capacity on both sides.
+  EXPECT_TRUE(auto_sparse(131072, 100));
+  EXPECT_FALSE(auto_sparse(131071, 100));
+  // Small tables stay dense however empty: the CLI's and the serve
+  // bench's default (20000 contents, 100-entry local partitions).
+  EXPECT_FALSE(auto_sparse(20000, 200));
+  EXPECT_FALSE(auto_sparse(20000, 1));
+  // The ratio boundary, past the budget.
+  EXPECT_TRUE(auto_sparse(1000000, 15625));   // exactly 64x
+  EXPECT_FALSE(auto_sparse(1000000, 15626));  // just under 64x
   EXPECT_TRUE(auto_sparse(10000000, 1000));
   // The paper's Table IV scale: each router's 63-entry LRU partition.
   EXPECT_TRUE(auto_sparse(1000000, 63));
   // Capacity within 64x of the catalog: dense stays affordable.
   EXPECT_FALSE(auto_sparse(10000000, 1000000));
-  EXPECT_FALSE(auto_sparse(2000, 50));
   // An unknown catalog (hint 0) stays dense at any capacity.
   EXPECT_FALSE(auto_sparse(0, 200));
   EXPECT_FALSE(auto_sparse(0, 0));
   // Capacity 0 divides as capacity 1.
-  EXPECT_TRUE(auto_sparse(64, 0));
-  EXPECT_FALSE(auto_sparse(63, 0));
+  EXPECT_TRUE(auto_sparse(131072, 0));
   // Forcing wins over the rule in both directions.
   EXPECT_TRUE(ContentIndex(IndexSpec{IndexMode::kSparse, 0}, 10)
                   .sparse_active());
@@ -162,7 +169,7 @@ TEST(ContentIndex, AutoRuleSelectsSparseOnlyAtScale) {
                   .sparse_active());
   EXPECT_FALSE(ContentIndex(IndexSpec{IndexMode::kDense, 10000000}, 10)
                    .sparse_active());
-  EXPECT_FALSE(ContentIndex(IndexSpec{IndexMode::kDense, 20000}, 200)
+  EXPECT_FALSE(ContentIndex(IndexSpec{IndexMode::kDense, 1000000}, 63)
                    .sparse_active());
 }
 

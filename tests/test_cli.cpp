@@ -231,6 +231,28 @@ TEST(Cli, FailedSubcommandWritesNoExportsAndNoUnusedWarnings) {
   std::remove(path.c_str());
 }
 
+TEST(Cli, FailedSubcommandStillWarnsOfFlagsNoSubcommandReads) {
+  // --C is read by no subcommand, so it is misspelled whatever stopped the
+  // run; --requests and --metrics-out were only not reached.
+  const std::string path =
+      testing::TempDir() + "ccnopt_failed_misspelled_metrics.json";
+  std::remove(path.c_str());
+  const RunResult result = run_cli(
+      "simulate --topology=abilene --requests=2000 --C=400 --c=-5 "
+      "--metrics-out=" + path);
+  EXPECT_EQ(result.exit_code, 1) << result.output;
+  EXPECT_NE(result.output.find("warning: unused option --C\n"),
+            std::string::npos)
+      << result.output;
+  EXPECT_EQ(result.output.find("unused option --requests"), std::string::npos)
+      << result.output;
+  EXPECT_EQ(result.output.find("unused option --metrics-out"),
+            std::string::npos)
+      << result.output;
+  EXPECT_FALSE(std::ifstream(path).good()) << path;
+  std::remove(path.c_str());
+}
+
 TEST(Cli, SimulateRejectsBadReplicationCount) {
   const RunResult result = run_cli("simulate --replications=0");
   EXPECT_NE(result.exit_code, 0);

@@ -552,19 +552,26 @@ TEST(SimIndexDeterminism, SparseIndexActiveWhereExpected) {
   };
   const std::size_t routers = topology::us_a().node_count();
 
-  // base_config's local partition holds c - x = 25 contents, so kAuto
-  // flips at a catalog of exactly 64 x 25 = 1600.
+  // base_config's local partition holds c - x = 25 contents, far under
+  // 64x any catalog near the budget, so kAuto flips where the dense table
+  // reaches 512 KiB: at a catalog of exactly 2^17.
   SimConfig config = base_config();
-  config.network.catalog_size = 1599;
+  config.warmup_requests = 500;
+  config.measured_requests = 1500;
+  config.network.catalog_size = 131071;
   EXPECT_EQ(sparse_routers(config), 0u);
   config.network.cache_index_mode = cache::IndexMode::kSparse;
   EXPECT_EQ(sparse_routers(config), routers);
 
   config.network.cache_index_mode = cache::IndexMode::kAuto;
-  config.network.catalog_size = 1600;
+  config.network.catalog_size = 131072;
   EXPECT_EQ(sparse_routers(config), routers);
   config.network.cache_index_mode = cache::IndexMode::kDense;
   EXPECT_EQ(sparse_routers(config), 0u);
+
+  // base_config's own catalog (2000 contents, 80x the partition) keeps
+  // the small dense table.
+  EXPECT_EQ(sparse_routers(base_config()), 0u);
 
   // Table IV scale (N = 10^6, c = 1000, x = 937): below the sampler's
   // 2^20 switch, yet every 63-entry partition is sparse.

@@ -39,9 +39,9 @@ TEST(SimLargeCatalog, TenMillionContentsRunToCompletion) {
   EXPECT_GT(report.mean_latency_ms, 0.0);
   EXPECT_GT(report.mean_hops, 0.0);
 
-  // The auto rule (catalog/capacity >= 64) must have
-  // switched every dynamic local partition to the robin-hood index — the
-  // dense path would need a 10 M-slot vector per router.
+  // The auto rule (dense table >= 512 KiB, catalog/capacity >= 64) must
+  // have switched every dynamic local partition to the robin-hood index —
+  // the dense path would need a 10 M-slot vector per router.
   for (topology::NodeId id = 0; id < sim.network().router_count(); ++id) {
     const auto* local =
         dynamic_cast<const cache::LruCache*>(&sim.network().store(id).local());

@@ -64,6 +64,8 @@
 #include <algorithm>
 #include <fstream>
 #include <iostream>
+#include <iterator>
+#include <string_view>
 
 #include "ccnopt/common/args.hpp"
 #include "ccnopt/common/strings.hpp"
@@ -113,6 +115,19 @@ int usage() {
 int fail(const Status& status) {
   std::cerr << "error: " << status.to_string() << "\n";
   return 1;
+}
+
+/// Every --key that some subcommand or write_obs_outputs reads.
+bool is_known_option(const std::string& key) {
+  static constexpr std::string_view kKnown[] = {
+      "alpha", "c", "capacities", "catalog", "csv", "dot", "edges",
+      "epochs", "figure", "gamma", "load", "metrics-out", "n", "name",
+      "perfetto-out", "policy", "profile-out", "replications", "requests",
+      "s", "seed", "shards", "strategy", "threads", "timeline-epoch",
+      "timeline-out", "topo-out", "topology", "trace-out", "trace-sample",
+      "true-s", "w", "x"};
+  return std::find(std::begin(kKnown), std::end(kKnown), key) !=
+         std::end(kKnown);
 }
 
 bool wants_csv(const std::string& path) {
@@ -738,11 +753,12 @@ int main(int argc, char** argv) {
     std::cerr << "unknown subcommand '" << command << "'\n";
     return usage(), 1;
   }
-  // A failed subcommand stopped before reading its later flags and ran
-  // nothing worth exporting: its error is the whole report.
-  if (code != 0) return code;
-  code = write_obs_outputs(args);
+  // A failed subcommand ran nothing worth exporting. Any failure stops
+  // before the later flags are read, so then only a flag that no
+  // subcommand reads is surely misspelled.
+  if (code == 0) code = write_obs_outputs(args);
   for (const std::string& key : args.unused_keys()) {
+    if (code != 0 && is_known_option(key)) continue;
     std::cerr << "warning: unused option --" << key << "\n";
   }
   return code;

@@ -35,20 +35,25 @@ class ContentIndex {
 
   ContentIndex(IndexSpec spec, std::size_t capacity)
       : sparse_active_(choose_sparse(spec, capacity)),
-        sparse_(sparse_active_ ? capacity : 0) {}
+        // capacity + 1: a miss on a full cache places the new id before
+        // the victim is erased.
+        sparse_(sparse_active_ ? capacity + 1 : 0) {}
 
   bool sparse_active() const { return sparse_active_; }
+  /// Cells of the sparse table (0 while dense), for growth tests.
+  std::size_t sparse_table_size() const {
+    return sparse_active_ ? sparse_.table_size() : 0;
+  }
 
   std::uint32_t find(ContentId id) const {
     return sparse_active_ ? sparse_.find(id) : dense_.find(id);
   }
 
-  void insert(ContentId id, std::uint32_t slot) {
-    if (sparse_active_) {
-      sparse_.insert(id, slot);
-    } else {
-      dense_.insert(id, slot);
-    }
+  /// The policies' one membership probe per request: the slot of `id`
+  /// when present, else `id` is mapped to `slot` and kNoSlot returned.
+  std::uint32_t find_or_insert(ContentId id, std::uint32_t slot) {
+    return sparse_active_ ? sparse_.find_or_insert(id, slot)
+                          : dense_.find_or_insert(id, slot);
   }
 
   void erase(ContentId id) {

@@ -27,20 +27,23 @@ std::vector<ContentId> FifoCache::contents() const {
 }
 
 bool FifoCache::handle(ContentId id) {
-  if (members_.find(id) != ContentIndex::kNoSlot) return true;
   if (capacity() == 0) return false;
-  std::size_t slot;
-  if (size_ == capacity()) {
-    slot = oldest_;
+  // The slot a miss fills: the oldest once full, else the next free one
+  // (oldest_ stays 0 until the ring first fills, so that is size_).
+  const bool full = size_ == capacity();
+  const std::size_t slot = full ? oldest_ : size_;
+  if (members_.find_or_insert(id, static_cast<std::uint32_t>(slot)) !=
+      ContentIndex::kNoSlot) {
+    return true;
+  }
+  if (full) {
     members_.erase(ring_[slot]);
     oldest_ = (oldest_ + 1) % capacity();
     count_eviction();
   } else {
-    slot = (oldest_ + size_) % capacity();
     ++size_;
   }
   ring_[slot] = id;
-  members_.insert(id, static_cast<std::uint32_t>(slot));
   count_insertion();
   return false;
 }

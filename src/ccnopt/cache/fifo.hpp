@@ -1,6 +1,7 @@
 // First-in-first-out replacement on a flat ring buffer: insertion order
 // lives in a contiguous vector cycled by an `oldest` cursor, membership in
-// a dense ContentId -> slot table. No recency update, no per-node
+// a ContentIndex (dense or sparse ContentId -> slot table, decided by one
+// find_or_insert per request). No recency update, no per-node
 // allocation; every operation is O(1).
 //
 // tests/golden/cache_replays.txt pins its behaviour.

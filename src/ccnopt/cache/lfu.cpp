@@ -99,22 +99,24 @@ void LfuCache::bump(std::uint32_t slot) {
 }
 
 bool LfuCache::handle(ContentId id) {
-  const std::uint32_t found = slots_.find(id);
+  if (capacity() == 0) return false;
+  // A miss fills the least-frequent bucket's least-recent slot once full,
+  // the next free one before; one probe decides the request and, on a
+  // miss, maps the id there.
+  const bool full = size_ == capacity();
+  const std::uint32_t slot = full ? buckets_[lowest_].tail : size_;
+  const std::uint32_t found = slots_.find_or_insert(id, slot);
   if (found != ContentIndex::kNoSlot) {
     bump(found);
     return true;
   }
-  if (capacity() == 0) return false;
-  std::uint32_t slot;
-  if (size_ == capacity()) {
-    // Evict the least-frequent bucket's least-recent entry.
-    slot = buckets_[lowest_].tail;
+  if (full) {
     detach(slot);
     if (buckets_[lowest_].head == kNull) free_bucket(lowest_);
     slots_.erase(ids_[slot]);
     count_eviction();
   } else {
-    slot = size_++;
+    ++size_;
   }
   std::uint32_t target;
   if (lowest_ != kNull && buckets_[lowest_].freq == 1) {
@@ -127,7 +129,6 @@ bool LfuCache::handle(ContentId id) {
   }
   ids_[slot] = id;
   attach_front(slot, target);
-  slots_.insert(id, slot);
   count_insertion();
   return false;
 }

@@ -2,7 +2,8 @@
 // frequency list (the Ketabi/Shokrollahi structure flattened into arrays):
 // entries are slots in contiguous vectors linked by index, frequency
 // buckets are pool-allocated nodes chained in ascending frequency order,
-// and membership is a dense ContentId -> slot table. No per-request heap
+// and membership is a ContentIndex (dense or sparse ContentId -> slot
+// table, decided by one find_or_insert per request). No per-request heap
 // allocation and no std::map — bump, insert, and evict all touch a handful
 // of contiguous words.
 //

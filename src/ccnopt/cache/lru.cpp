@@ -44,7 +44,13 @@ void LruCache::push_front(std::uint32_t slot) {
 }
 
 bool LruCache::handle(ContentId id) {
-  const std::uint32_t found = slots_.find(id);
+  if (capacity() == 0) return false;
+  // The slot a miss would fill: the LRU victim's once full, the next free
+  // one before. One probe decides the request and, on a miss, already maps
+  // the id to that slot.
+  const bool full = size_ == capacity();
+  const std::uint32_t slot = full ? tail_ : size_;
+  const std::uint32_t found = slots_.find_or_insert(id, slot);
   if (found != ContentIndex::kNoSlot) {
     if (head_ != found) {
       unlink(found);
@@ -52,19 +58,15 @@ bool LruCache::handle(ContentId id) {
     }
     return true;
   }
-  if (capacity() == 0) return false;
-  std::uint32_t slot;
-  if (size_ == capacity()) {
-    slot = tail_;
+  if (full) {
     unlink(slot);
     slots_.erase(ids_[slot]);
     count_eviction();
   } else {
-    slot = size_++;
+    ++size_;
   }
   ids_[slot] = id;
   push_front(slot);
-  slots_.insert(id, slot);
   count_insertion();
   return false;
 }

@@ -30,6 +30,7 @@ class LruCache final : public CachePolicy {
   const char* name() const override { return "lru"; }
 
   bool index_is_sparse() const { return slots_.sparse_active(); }
+  std::size_t index_table_size() const { return slots_.sparse_table_size(); }
 
  protected:
   bool handle(ContentId id) override;

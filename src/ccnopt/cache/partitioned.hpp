@@ -32,8 +32,9 @@ class PartitionedStore final : public CachePolicy {
   /// Clears the local partition only; the coordinated set is owned by the
   /// coordinator and changes exclusively at assign_coordinated() epochs.
   void clear() override { local_->clear(); }
-  /// Forwarded to the local partition's membership index; the coordinated
-  /// set is a small hash set that stays hot on its own.
+  /// Forwarded to the local partition's membership index. The coordinated
+  /// set needs none: the simulator decides coordinated membership from its
+  /// owner table (admit(id, coordinated)), which it prefetches itself.
   void prefetch(ContentId id) const override { local_->prefetch(id); }
   const char* name() const override { return "partitioned"; }
 
@@ -45,6 +46,16 @@ class PartitionedStore final : public CachePolicy {
   }
   std::vector<ContentId> coordinated_contents() const {
     return {coordinated_.begin(), coordinated_.end()};
+  }
+
+  using CachePolicy::admit;
+  /// admit() with the coordinated-partition verdict decided by the caller:
+  /// `coordinated` must equal coordinated_contains(id), as the simulator's
+  /// owner table does for the router it names. A coordinated hit touches
+  /// nothing else; otherwise the local partition admits. Stats accrue
+  /// exactly as admit(id) — without probing the coordinated set.
+  bool admit(ContentId id, bool coordinated) {
+    return record(coordinated || local_->admit(id));
   }
 
   /// Coordinator epoch update: replaces the coordinated partition.

@@ -50,16 +50,7 @@ class CachePolicy {
 
   /// Records a request for `id`: returns true on hit (updating policy
   /// metadata), false on miss (inserting per policy, evicting if full).
-  bool admit(ContentId id) {
-    const bool hit = handle(id);
-    if (hit) {
-      ++stats_.hits;
-    } else {
-      ++stats_.misses;
-    }
-    CCNOPT_ENSURES(size() <= capacity());
-    return hit;
-  }
+  bool admit(ContentId id) { return record(handle(id)); }
 
   /// Snapshot of the stored ids, in no particular order.
   virtual std::vector<ContentId> contents() const = 0;
@@ -83,6 +74,19 @@ class CachePolicy {
 
  protected:
   virtual bool handle(ContentId id) = 0;
+
+  /// Counts one request's outcome and returns it: admit()'s bookkeeping,
+  /// shared with entry points that decide part of the outcome without
+  /// handle().
+  bool record(bool hit) {
+    if (hit) {
+      ++stats_.hits;
+    } else {
+      ++stats_.misses;
+    }
+    CCNOPT_ENSURES(size() <= capacity());
+    return hit;
+  }
 
   void count_insertion() { ++stats_.insertions; }
   void count_eviction() { ++stats_.evictions; }

@@ -28,13 +28,18 @@ class SlotMap {
     return it == overflow_.end() ? kNoSlot : it->second;
   }
 
-  void insert(ContentId id, std::uint32_t slot) {
-    if (id < kDenseLimit) {
-      if (id >= dense_.size()) grow(id);
-      dense_[id] = slot;
-    } else {
-      overflow_[id] = slot;
+  /// Returns the slot of `id` when present; otherwise maps `id` to `slot`
+  /// and returns kNoSlot.
+  std::uint32_t find_or_insert(ContentId id, std::uint32_t slot) {
+    if (id >= kDenseLimit) {
+      const auto [it, inserted] = overflow_.try_emplace(id, slot);
+      return inserted ? kNoSlot : it->second;
     }
+    if (id >= dense_.size()) grow(id);
+    std::uint32_t& cell = dense_[id];
+    if (cell != kNoSlot) return cell;
+    cell = slot;
+    return kNoSlot;
   }
 
   void erase(ContentId id) {

@@ -9,8 +9,20 @@
 // robin-hood invariant (displace richer entries on insert, backward-shift
 // on erase), which bounds variance tightly at this load factor; the table
 // still doubles defensively if a probe chain ever approaches the byte cap.
+//
+// The home bucket is one Fibonacci multiply, the top bits of
+// id * 2^64/phi: consecutive Zipf ranks land ~0.618 of the table apart,
+// so the simulator's dense low ranks scatter without a full-avalanche mix.
+//
+// The policies decide hit or miss with find_or_insert(): one probe
+// sequence either finds the id or places it where the probe stopped. A
+// miss on a full cache therefore holds capacity + 1 entries until the
+// victim is erased, which is why ContentIndex sizes the table for
+// capacity + 1 — the transient entry never crosses the growth threshold.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -23,8 +35,8 @@ class SparseSlotMap {
  public:
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
 
-  /// Sizes the table for `expected_entries` live ids (a cache passes its
-  /// capacity); the table never rehashes as long as occupancy stays there.
+  /// Sizes the table for `expected_entries` live ids; the table never
+  /// rehashes as long as occupancy stays there.
   explicit SparseSlotMap(std::size_t expected_entries = 0) {
     rehash(table_size_for(expected_entries));
   }
@@ -43,9 +55,25 @@ class SparseSlotMap {
     }
   }
 
-  void insert(ContentId id, std::uint32_t slot) {
-    if ((entries_ + 1) * 2 > keys_.size()) rehash(keys_.size() * 2);
-    insert_impl(id, slot);
+  /// Returns the slot of `id` when present (leaving the table untouched);
+  /// otherwise maps `id` to `slot` and returns kNoSlot. The insertion
+  /// starts where the membership probe stopped, so a miss walks the probe
+  /// window once.
+  std::uint32_t find_or_insert(ContentId id, std::uint32_t slot) {
+    std::size_t pos = bucket_of(id);
+    std::uint8_t dist = 1;
+    for (;; ++dist) {
+      if (dist_[pos] < dist) break;
+      if (keys_[pos] == id) return slots_[pos];
+      pos = (pos + 1) & mask_;
+    }
+    if ((entries_ + 1) * 2 > keys_.size()) {
+      rehash(keys_.size() * 2);
+      place(bucket_of(id), 1, id, slot);
+    } else {
+      place(pos, dist, id, slot);
+    }
+    return kNoSlot;
   }
 
   void erase(ContentId id) {
@@ -97,33 +125,20 @@ class SparseSlotMap {
     return size;
   }
 
-  /// splitmix64 finalizer: full-avalanche mix so sequential Zipf ranks
-  /// scatter uniformly over the power-of-two table.
-  static std::uint64_t mix(ContentId id) {
-    std::uint64_t z = id + 0x9E3779B97F4A7C15ull;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    return z ^ (z >> 31);
-  }
-
   std::size_t bucket_of(ContentId id) const {
-    return static_cast<std::size_t>(mix(id)) & mask_;
+    return static_cast<std::size_t>((id * 0x9E3779B97F4A7C15ull) >> shift_);
   }
 
-  void insert_impl(ContentId id, std::uint32_t slot) {
-    std::size_t pos = bucket_of(id);
-    ContentId key = id;
-    std::uint8_t dist = 1;
+  /// Places an id known to be absent, starting at `pos` where its probe
+  /// reached distance `dist` with every cell before it richer or equal.
+  void place(std::size_t pos, std::uint8_t dist, ContentId key,
+             std::uint32_t slot) {
     for (;;) {
       if (dist_[pos] == 0) {
         keys_[pos] = key;
         slots_[pos] = slot;
         dist_[pos] = dist;
         ++entries_;
-        return;
-      }
-      if (keys_[pos] == key && key == id) {
-        slots_[pos] = slot;  // overwrite existing mapping
         return;
       }
       if (dist_[pos] < dist) {
@@ -137,17 +152,18 @@ class SparseSlotMap {
       ++dist;
       if (dist >= kMaxProbe) {
         // Pathological clustering (cannot happen at <= 50% load with a
-        // mixed hash, but stay correct regardless): grow, which reinserts
-        // everything already placed, then place the carried entry.
+        // multiplicative hash over ranks, but stay correct regardless):
+        // grow, which reinserts everything already placed, then place the
+        // carried entry.
         rehash(keys_.size() * 2);
-        insert_impl(key, slot);
+        place(bucket_of(key), 1, key, slot);
         return;
       }
     }
   }
 
   void rehash(std::size_t new_size) {
-    CCNOPT_ASSERT((new_size & (new_size - 1)) == 0);
+    CCNOPT_ASSERT(std::has_single_bit(new_size));
     std::vector<ContentId> old_keys = std::move(keys_);
     std::vector<std::uint32_t> old_slots = std::move(slots_);
     std::vector<std::uint8_t> old_dist = std::move(dist_);
@@ -155,9 +171,12 @@ class SparseSlotMap {
     slots_.assign(new_size, kNoSlot);
     dist_.assign(new_size, 0);
     mask_ = new_size - 1;
+    shift_ = 64 - static_cast<unsigned>(std::countr_zero(new_size));
     entries_ = 0;
     for (std::size_t i = 0; i < old_keys.size(); ++i) {
-      if (old_dist[i] != 0) insert_impl(old_keys[i], old_slots[i]);
+      if (old_dist[i] != 0) {
+        place(bucket_of(old_keys[i]), 1, old_keys[i], old_slots[i]);
+      }
     }
   }
 
@@ -165,6 +184,7 @@ class SparseSlotMap {
   std::vector<std::uint32_t> slots_;
   std::vector<std::uint8_t> dist_;  // probe distance + 1; 0 = empty cell
   std::size_t mask_ = 0;
+  unsigned shift_ = 64;  // 64 - log2(table size): bucket = top bits
   std::size_t entries_ = 0;
 };
 

@@ -362,8 +362,14 @@ ServeResult CcnNetwork::serve_owner_table(
   std::uint64_t insertions_before = 0;
   if (telemetry) insertions_before = own.local().stats().insertions;
 
-  const bool own_coordinated = own.coordinated_contains(content);
-  if (own.admit(content)) {
+  // One load from the owner table answers both coordinated tiers: each
+  // store's coordinated partition is exactly the owner table's slice for
+  // that router, so the first hop holds `content` there iff it owns it,
+  // and any other owner is the peer tier below. The store then probes only
+  // its local partition.
+  const topology::NodeId owner = owner_of(content);
+  const bool own_coordinated = owner == first_hop;
+  if (own.admit(content, own_coordinated)) {
     return ServeResult{ServeTier::kLocal, config_.access_latency_d0_ms, 0,
                        first_hop, own_coordinated};
   }
@@ -373,10 +379,9 @@ ServeResult CcnNetwork::serve_owner_table(
     if (topo != nullptr) topo->on_placement(first_hop, 0);
   }
 
-  // Coordinated placement lookup (the paper's mid tier) — one load from the
-  // dense owner table. A failed or unreachable owner means the content is
-  // lost until repair.
-  const topology::NodeId owner = owner_of(content);
+  // Coordinated placement lookup (the paper's mid tier), from the owner
+  // loaded above. A failed or unreachable owner means the content is lost
+  // until repair.
   if (owner != kNoOwner && owner != first_hop && !failed_[owner]) {
     const topology::Route& path = routes_->route(first_hop, owner);
     if (path.latency_ms < topology::kUnreachable) {
@@ -395,7 +400,9 @@ ServeResult CcnNetwork::serve_owner_table(
     double best_latency = topology::kUnreachable;
     for (const topology::NodeId peer : coordinator_.participants()) {
       if (peer == first_hop || failed_[peer]) continue;
-      if (!stores_[peer]->contains(content)) continue;
+      if (owner != peer && !stores_[peer]->local().contains(content)) {
+        continue;
+      }
       const double latency = routes_->route(first_hop, peer).latency_ms;
       if (latency < best_latency) {
         best_latency = latency;
@@ -479,19 +486,23 @@ ServeResult CcnNetwork::serve_on_path(topology::NodeId first_hop,
   // Walk first_hop -> gateway along the gateway-rooted shortest-path tree,
   // consulting each en-route store and counting each link as the walk
   // crosses it; misses are recorded so the insertion rule can seed copies
-  // afterwards. contains() keeps the probes non-mutating — only the hit
-  // node and the rule's chosen nodes admit.
+  // afterwards. The probes stay non-mutating — only the hit node and the
+  // rule's chosen nodes admit — and, as in serve_owner_table(), a store's
+  // coordinated partition holds `content` iff the owner table names it.
   const bool track = config_.track_link_load;
+  const topology::NodeId owner = owner_of(content);
   miss_path_.clear();
   topology::NodeId node = first_hop;
   while (true) {
     cache::PartitionedStore& store = *stores_[node];
-    if (store.contains(content)) {
-      store.admit(content);  // hit: promote recency/frequency state
+    const bool coordinated = owner == node;
+    if (coordinated || store.local().contains(content)) {
+      // Hit: promote recency/frequency state.
+      store.admit(content, coordinated);
       ServeResult result;
       if (node == first_hop) {
         result = ServeResult{ServeTier::kLocal, config_.access_latency_d0_ms,
-                             0, node, store.coordinated_contains(content)};
+                             0, node, coordinated};
       } else {
         const double path_ms = first_hop_ms - from_gateway[node].latency_ms;
         result = ServeResult{
@@ -529,16 +540,18 @@ std::int32_t CcnNetwork::apply_insertion_rule(cache::ContentId content) {
   std::int32_t nearest = -1;
   // Admits at miss_path_[depth]; with telemetry on, the local partition's
   // insertion-counter delta distinguishes an actual new copy from a
-  // no-op admit (static partitions, coordinated hits). Depths ascend in
-  // every rule, so the first recorded insertion is the nearest one.
+  // no-op admit (static partitions). Every miss-path store missed, its
+  // coordinated partition included, so each admit is a local one. Depths
+  // ascend in every rule, so the first recorded insertion is the nearest
+  // one.
   const auto admit_at = [&](std::size_t depth) {
     cache::PartitionedStore& store = *stores_[miss_path_[depth]];
     if (!telemetry) {
-      store.admit(content);
+      store.admit(content, false);
       return;
     }
     const std::uint64_t before = store.local().stats().insertions;
-    store.admit(content);
+    store.admit(content, false);
     if (store.local().stats().insertions > before) {
       if (nearest < 0) nearest = static_cast<std::int32_t>(depth);
       if (topo_ != nullptr) {

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "ccnopt/cache/content_index.hpp"
+#include "ccnopt/cache/lru.hpp"
 #include "ccnopt/common/random.hpp"
 
 namespace ccnopt::cache {
@@ -16,8 +17,8 @@ TEST(SparseSlotMap, InsertFindErase) {
   EXPECT_EQ(map.size(), 0u);
   EXPECT_EQ(map.find(42), SparseSlotMap::kNoSlot);
 
-  map.insert(42, 7);
-  map.insert(1000000007ull, 3);
+  EXPECT_EQ(map.find_or_insert(42, 7), SparseSlotMap::kNoSlot);
+  EXPECT_EQ(map.find_or_insert(1000000007ull, 3), SparseSlotMap::kNoSlot);
   EXPECT_EQ(map.size(), 2u);
   EXPECT_EQ(map.find(42), 7u);
   EXPECT_EQ(map.find(1000000007ull), 3u);
@@ -31,19 +32,62 @@ TEST(SparseSlotMap, InsertFindErase) {
   EXPECT_EQ(map.size(), 1u);
 }
 
-TEST(SparseSlotMap, OverwriteExistingKey) {
+TEST(SparseSlotMap, FindOrInsertKeepsPresentSlot) {
+  // A present id answers with its slot and leaves the table as it was:
+  // the offered slot is dropped, nothing moves, nothing grows.
   SparseSlotMap map(4);
-  map.insert(5, 1);
-  map.insert(5, 9);
-  EXPECT_EQ(map.size(), 1u);
-  EXPECT_EQ(map.find(5), 9u);
+  EXPECT_EQ(map.find_or_insert(5, 1), SparseSlotMap::kNoSlot);
+  EXPECT_EQ(map.find_or_insert(6, 2), SparseSlotMap::kNoSlot);
+  const std::size_t table = map.table_size();
+  EXPECT_EQ(map.find_or_insert(5, 9), 1u);
+  EXPECT_EQ(map.size(), 2u);
+  EXPECT_EQ(map.table_size(), table);
+  EXPECT_EQ(map.find(5), 1u);
+  EXPECT_EQ(map.find(6), 2u);
+}
+
+TEST(SparseSlotMap, FindOrInsertPlacesAbsentId) {
+  SparseSlotMap map(16);
+  for (ContentId id = 1; id <= 16; ++id) {
+    // Low 28 bits zero: the multiplicative bucket reads the top bits.
+    const ContentId key = id * 0x10000000ull;
+    ASSERT_EQ(map.find(key), SparseSlotMap::kNoSlot);
+    ASSERT_EQ(map.find_or_insert(key, static_cast<std::uint32_t>(id)),
+              SparseSlotMap::kNoSlot);
+    ASSERT_EQ(map.find(key), static_cast<std::uint32_t>(id));
+  }
+  EXPECT_EQ(map.size(), 16u);
+  for (ContentId id = 1; id <= 16; ++id) {
+    EXPECT_EQ(map.find(id * 0x10000000ull), static_cast<std::uint32_t>(id));
+  }
+}
+
+TEST(SparseSlotMap, FindOrInsertGrowsOnlyPastHalfLoad) {
+  // A table of 16 cells holds 8 ids; the 9th crosses
+  // (entries + 1) * 2 > table_size and doubles the table first.
+  SparseSlotMap map(8);
+  ASSERT_EQ(map.table_size(), 16u);
+  for (ContentId id = 1; id <= 8; ++id) {
+    ASSERT_EQ(map.find_or_insert(id, static_cast<std::uint32_t>(id)),
+              SparseSlotMap::kNoSlot);
+  }
+  EXPECT_EQ(map.table_size(), 16u);
+  // A hit at the boundary returns before the growth check.
+  EXPECT_EQ(map.find_or_insert(8, 99), 8u);
+  EXPECT_EQ(map.table_size(), 16u);
+  EXPECT_EQ(map.find_or_insert(9, 9), SparseSlotMap::kNoSlot);
+  EXPECT_EQ(map.table_size(), 32u);
+  EXPECT_EQ(map.size(), 9u);
+  for (ContentId id = 1; id <= 9; ++id) {
+    EXPECT_EQ(map.find(id), static_cast<std::uint32_t>(id));
+  }
 }
 
 TEST(SparseSlotMap, ClearIsTableSized) {
   SparseSlotMap map(100);
   const std::size_t table = map.table_size();
   for (ContentId id = 1; id <= 100; ++id) {
-    map.insert(id * 1000003ull, static_cast<std::uint32_t>(id));
+    map.find_or_insert(id * 1000003ull, static_cast<std::uint32_t>(id));
   }
   map.clear();
   EXPECT_EQ(map.size(), 0u);
@@ -53,14 +97,14 @@ TEST(SparseSlotMap, ClearIsTableSized) {
   for (ContentId id = 1; id <= 100; ++id) {
     EXPECT_EQ(map.find(id * 1000003ull), SparseSlotMap::kNoSlot);
   }
-  map.insert(7, 7);
+  EXPECT_EQ(map.find_or_insert(7, 7), SparseSlotMap::kNoSlot);
   EXPECT_EQ(map.find(7), 7u);
 }
 
 TEST(SparseSlotMap, GrowsBeyondExpectedEntries) {
   SparseSlotMap map(0);
   for (ContentId id = 1; id <= 5000; ++id) {
-    map.insert(id, static_cast<std::uint32_t>(id % 997));
+    map.find_or_insert(id, static_cast<std::uint32_t>(id % 997));
   }
   EXPECT_EQ(map.size(), 5000u);
   for (ContentId id = 1; id <= 5000; ++id) {
@@ -75,30 +119,34 @@ TEST(SparseSlotMap, MemoryIsCapacityProportional) {
   const std::size_t table = map.table_size();
   EXPECT_LE(table, 4096u);
   for (ContentId id = 0; id < 1000; ++id) {
-    map.insert(id * 10000019ull + 1, static_cast<std::uint32_t>(id));
+    map.find_or_insert(id * 10000019ull + 1, static_cast<std::uint32_t>(id));
   }
   EXPECT_EQ(map.table_size(), table);  // no rehash at <= 50% load
 }
 
 TEST(SparseSlotMap, RandomizedAgainstReferenceMap) {
   // Lock-step fuzz against std::unordered_map over a huge sparse id space,
-  // exercising backward-shift deletion under heavy churn.
+  // exercising backward-shift deletion under heavy churn. One
+  // find_or_insert in six re-offers a live id, which must answer with its
+  // slot and change nothing.
   SparseSlotMap map(256);
   std::unordered_map<ContentId, std::uint32_t> reference;
   Rng rng(20240806);
   std::vector<ContentId> live;
   for (int step = 0; step < 50000; ++step) {
     const double roll = rng.uniform();
-    if (roll < 0.5 || live.empty()) {
-      const ContentId id = rng.uniform_int(1, 1000000000000ull);
+    if (roll < 0.6 || live.empty()) {
+      const bool reoffer = !live.empty() && roll >= 0.5;
+      const ContentId id =
+          reoffer ? live[static_cast<std::size_t>(
+                        rng.uniform_int(0, live.size() - 1))]
+                  : rng.uniform_int(1, 1000000000000ull);
       const auto slot = static_cast<std::uint32_t>(step);
-      map.insert(id, slot);
-      if (reference.emplace(id, slot).second == false) {
-        reference[id] = slot;
-      } else {
-        live.push_back(id);
-      }
-    } else if (roll < 0.8) {
+      const auto [it, inserted] = reference.emplace(id, slot);
+      ASSERT_EQ(map.find_or_insert(id, slot),
+                inserted ? SparseSlotMap::kNoSlot : it->second);
+      if (inserted) live.push_back(id);
+    } else if (roll < 0.85) {
       const std::size_t pick =
           static_cast<std::size_t>(rng.uniform_int(0, live.size() - 1));
       const ContentId id = live[pick];
@@ -125,7 +173,7 @@ TEST(SparseSlotMap, RandomizedAgainstReferenceMap) {
 
 TEST(SparseSlotMap, PrefetchIsSideEffectFree) {
   SparseSlotMap map(16);
-  map.insert(3, 1);
+  map.find_or_insert(3, 1);
   map.prefetch(3);
   map.prefetch(999999999ull);
   EXPECT_EQ(map.find(3), 1u);
@@ -181,8 +229,7 @@ TEST(ContentIndex, SparseAndDenseAgree) {
   for (int step = 0; step < 2000; ++step) {
     const ContentId id = rng.uniform_int(1, 100000ull);
     const auto slot = static_cast<std::uint32_t>(step % 64);
-    dense.insert(id, slot);
-    sparse.insert(id, slot);
+    ASSERT_EQ(dense.find_or_insert(id, slot), sparse.find_or_insert(id, slot));
     inserted.push_back(id);
     const ContentId probe =
         inserted[static_cast<std::size_t>(rng.uniform_int(0, inserted.size() - 1))];
@@ -192,6 +239,24 @@ TEST(ContentIndex, SparseAndDenseAgree) {
       sparse.erase(id);
       ASSERT_EQ(dense.find(id), sparse.find(id));
     }
+  }
+}
+
+TEST(ContentIndex, LruChurnNeverRehashesTheSparseTable) {
+  // Every miss on a full LRU places the new id before erasing the victim,
+  // so the table briefly holds capacity + 1 ids; it is sized for that and
+  // keeps its size through any churn.
+  for (const std::size_t capacity : {1u, 63u, 64u, 100u, 1000u}) {
+    LruCache lru(capacity, IndexSpec{IndexMode::kSparse, 0});
+    ASSERT_TRUE(lru.index_is_sparse());
+    const std::size_t table = lru.index_table_size();
+    for (ContentId id = 1; id <= 100000; ++id) {
+      ASSERT_FALSE(lru.admit(id)) << "capacity " << capacity;
+    }
+    EXPECT_EQ(lru.size(), capacity);
+    EXPECT_EQ(lru.index_table_size(), table) << "capacity " << capacity;
+    EXPECT_TRUE(lru.contains(100000));
+    EXPECT_EQ(lru.contains(100000 - capacity), false);
   }
 }
 

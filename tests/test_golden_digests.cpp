@@ -398,6 +398,16 @@ std::vector<Cell> make_cells() {
     config.trace_sample_k = 0;
     add("edge_aggregation_peer_fetch", "cernet", config);
   }
+  {
+    // Table IV's split (c = 1000, x = 937) at the smallest catalog kAuto
+    // indexes sparsely: 63-entry LRU partitions on robin-hood tables, the
+    // coordinated tier decided by the owner table.
+    SimConfig config = base_config();
+    config.network.catalog_size = 131072;
+    config.network.capacity_c = 1000;
+    config.coordinated_x = 937;
+    add("edge_auto_sparse_table4", "us-a", config);
+  }
 
   // ReplicationRunner cells: merged traces, timeline and topo, and the
   // registry after all replications.
@@ -582,6 +592,10 @@ TEST(SimIndexDeterminism, SparseIndexActiveWhereExpected) {
   paper.warmup_requests = 1000;
   paper.measured_requests = 2000;
   EXPECT_EQ(sparse_routers(paper), routers);
+
+  // The golden cell pinning that split on the sparse side of kAuto.
+  EXPECT_EQ(sparse_routers(cell_named("edge_auto_sparse_table4").config),
+            routers);
 }
 
 /// Runs the bodies serially and remembers the widest region it ran.

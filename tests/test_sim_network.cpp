@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "ccnopt/topology/datasets.hpp"
 #include "ccnopt/topology/generators.hpp"
 
 namespace ccnopt::sim {
@@ -140,6 +144,73 @@ TEST(CcnNetwork, CapacityOverridesExcludeRouters) {
   EXPECT_EQ(network.store(0).capacity(), 0u);
   // Router 0 always goes to the network/origin.
   EXPECT_NE(network.serve(0, 1).tier, ServeTier::kLocal);
+}
+
+/// Serves every rank in [1, pool end + 5] at every alive router, checking
+/// that the owner table's own-coordinated verdict matches the store's
+/// coordinated set and that each store counted exactly the requests it saw.
+void expect_owner_table_matches_stores(CcnNetwork& network) {
+  cache::ContentId pool_end = 0;
+  for (topology::NodeId id = 0; id < network.router_count(); ++id) {
+    for (const cache::ContentId rank :
+         network.store(id).coordinated_contents()) {
+      pool_end = std::max(pool_end, rank);
+    }
+  }
+  ASSERT_GT(pool_end, 0u);
+  const cache::ContentId last =
+      std::min<cache::ContentId>(pool_end + 5, network.config().catalog_size);
+  std::vector<std::uint64_t> served(network.router_count(), 0);
+  for (topology::NodeId id = 0; id < network.router_count(); ++id) {
+    if (network.is_failed(id)) continue;
+    for (cache::ContentId rank = 1; rank <= last; ++rank) {
+      const bool coordinated = network.store(id).coordinated_contains(rank);
+      ASSERT_EQ(network.serve(id, rank).own_coordinated_hit, coordinated)
+          << "router " << id << " rank " << rank;
+      ++served[id];
+    }
+  }
+  for (topology::NodeId id = 0; id < network.router_count(); ++id) {
+    EXPECT_EQ(network.store(id).stats().requests(), served[id])
+        << "router " << id;
+  }
+}
+
+NetworkConfig dataset_config() {
+  NetworkConfig config;
+  config.catalog_size = 2000;
+  config.capacity_c = 20;
+  config.local_mode = LocalStoreMode::kLru;
+  return config;
+}
+
+TEST(CcnNetwork, OwnerTableDecidesOwnCoordinatedHits) {
+  for (const topology::Graph& graph : {topology::abilene(), topology::us_a()}) {
+    CcnNetwork network(graph, dataset_config());
+    network.provision(8);
+    expect_owner_table_matches_stores(network);
+  }
+}
+
+TEST(CcnNetwork, OwnerTableDecidesOwnCoordinatedHitsHeterogeneous) {
+  CcnNetwork network(topology::us_a(), dataset_config());
+  std::vector<std::size_t> x;
+  for (std::size_t i = 0; i < network.participants().size(); ++i) {
+    x.push_back(i % 5 * 4);  // 0, 4, ..., 16 of each router's 20
+  }
+  network.provision_heterogeneous(x);
+  expect_owner_table_matches_stores(network);
+}
+
+TEST(CcnNetwork, OwnerTableDecidesOwnCoordinatedHitsAfterFailure) {
+  // US-A router 9 lies on many shortest paths; re-provisioning deals the
+  // pool over the survivors only.
+  CcnNetwork network(topology::us_a(), dataset_config());
+  network.provision(8);
+  network.set_router_failed(9, true);
+  network.provision(8);
+  EXPECT_TRUE(network.store(9).coordinated_contents().empty());
+  expect_owner_table_matches_stores(network);
 }
 
 TEST(CcnNetworkDeath, Preconditions) {

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Build and run the memory-safety-critical test suites (the robin-hood
 # sparse index, the cache policies layered on it, the Zipf samplers, the
-# strategy subsystem driving the data plane, the topology-resolved
-# flight recorder fed from the serve hot path, the route table's search
+# strategy subsystem driving the data plane, the owner-table and on-path
+# serve paths under provisioning, heterogeneous quotas and router
+# failures, the topology-resolved flight recorder fed from the serve hot
+# path, the route table's search
 # kernels, the topology edge-list parser and the argument parser on
 # malformed and seeded random input, the sharded request engine, and the
 # fork-join worker pool with the replication runner on it) under
@@ -41,6 +43,9 @@ TARGETS=(
   test_obs_topo
   test_sim_topo
   test_sim_window_order
+  test_sim_network
+  test_sim_heterogeneous
+  test_sim_failures
   test_topology_route_table
   test_topology_io
   test_common_args

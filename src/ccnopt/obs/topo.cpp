@@ -90,7 +90,8 @@ void TopoRecorder::absorb(const TopoRecorder& other) {
   CCNOPT_EXPECTS(enabled());
   CCNOPT_EXPECTS(other.topology_ == topology_);
   CCNOPT_EXPECTS(other.nodes_.size() == nodes_.size());
-  CCNOPT_EXPECTS(other.links_.size() == links_.size());
+  CCNOPT_EXPECTS(other.links_.empty() ||
+                 other.links_.size() == links_.size());
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     TopoNodeStats& mine = nodes_[i];
     const TopoNodeStats& theirs = other.nodes_[i];
@@ -107,7 +108,7 @@ void TopoRecorder::absorb(const TopoRecorder& other) {
     mine.occupancy += theirs.occupancy;
     mine.capacity += theirs.capacity;
   }
-  for (std::size_t i = 0; i < links_.size(); ++i) {
+  for (std::size_t i = 0; i < other.links_.size(); ++i) {
     CCNOPT_EXPECTS(other.links_[i].u == links_[i].u);
     CCNOPT_EXPECTS(other.links_[i].v == links_[i].v);
     links_[i].traversals += other.links_[i].traversals;

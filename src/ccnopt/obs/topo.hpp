@@ -113,10 +113,12 @@ class TopoRecorder {
 
   /// Same entity-by-entity sum as merge(), but `other` is a shard of THIS
   /// run rather than another replication: replications() is left untouched.
-  /// The sharded request engine folds its per-shard placement recorders
-  /// into the run recorder with this, in shard index order (every summed
-  /// field is an integer or a serially accumulated double, so the result
-  /// is byte-identical for any shard count).
+  /// The sharded request engine folds its per-shard tier and placement
+  /// recorders into the run recorder with this, in shard index order
+  /// (every summed field is an integer or a serially accumulated double,
+  /// so the result is byte-identical for any shard count). `other` may be
+  /// built without links — shard recorders never count link traversals —
+  /// and then adds to the nodes and placement depths only.
   void absorb(const TopoRecorder& other);
 
   // Whole-network sums, for reconciliation against the global report.

@@ -14,16 +14,35 @@
 //   select    (every other window,    per-router counts of the window's
 //              sequential)            entries, by binary search on the
 //                                     time value
-//   serve     router-major (parallel  each shard walks its routers and
-//              over shards) or in     serves each router's window segment
-//              emission order (one    in one fused loop: draw, prefetch,
-//              shard)                 serve, then record into per-router
+//
+// then, in router-major runs,
+//
+//   serve     (parallel over shards)  each shard walks its routers and
+//                                     serves each router's window segment
+//                                     in one fused loop: draw, prefetch,
+//                                     serve, then record into per-router
 //                                     partial accumulators (metrics slots,
 //                                     epoch recorder slots, a topo
 //                                     recorder) and sample traces; with
 //                                     interest aggregation, first land the
 //                                     router's completed fetches and join
 //                                     a fetch still in flight
+//
+// and in emission-order runs,
+//
+//   draw      (parallel over shards,  each router's contents, drawn in its
+//              or sequential for a    arrival order and written at their
+//              coupled workload)      window positions: the window's
+//                                     contents in emission order
+//   serve     (sequential)            serve() in emission order with a
+//                                     one-ahead prefetch, keeping each
+//                                     result in emission order and taking
+//                                     sampled traces on the spot;
+//                                     aggregated windows land, join and
+//                                     record inline instead
+//   record    (parallel over shards,  the router-major serve loop's record
+//              windows without        body over each router's results,
+//              aggregation)           read back in its arrival order
 //
 // Partials fold in router-index order at flush/report time, so no global
 // order is needed to record. Windows truncate at timeline-epoch and warmup
@@ -71,19 +90,44 @@ struct RouterGen {
 
 // Everything one shard owns: its contiguous range of active routers, the
 // network scratch its router-major serves write telemetry into, the
-// recorder its tier events go to, and its trace buffer.
+// recorder its tier events go to, and its trace buffer. Emission-order
+// runs serve on the calling thread, so shard 0 takes their traces, and
+// their inline (aggregated) records.
 struct ShardState {
   std::uint32_t lo = 0;  // active-position range [lo, hi)
   std::uint32_t hi = 0;
   CcnNetwork::ShardScratch scratch;  // router-major runs only
-  obs::TopoRecorder topo;  // router-major runs that record topo
-  // &topo in router-major runs, the run's recorder in emission-order runs,
-  // null when the run records no topo.
+  obs::TopoRecorder topo;  // runs that record topo
+  // &topo, or null when the run records no topo.
   obs::TopoRecorder* tier_topo = nullptr;
   obs::TraceBuffer traces;     // whole run, router-major per window
   std::uint64_t upstream = 0;  // whole-run non-local serves (integer fold)
   std::uint64_t aggregated = 0;  // whole-run joins (integer fold)
 };
+
+// The fields of a ServeResult that the record body reads, packed for an
+// emission-order window's buffer: half a ServeResult per request.
+struct Served {
+  static Served of(const ServeResult& result) {
+    CCNOPT_ASSERT(result.served_by < (1u << 30));
+    return Served{result.latency_ms, result.hops,
+                  result.served_by << 2 |
+                      static_cast<std::uint32_t>(result.tier)};
+  }
+  ServeResult result() const {
+    ServeResult result;
+    result.tier = static_cast<ServeTier>(served_by_tier & 3u);
+    result.latency_ms = latency_ms;
+    result.hops = hops;
+    result.served_by = served_by_tier >> 2;
+    return result;
+  }
+
+  double latency_ms;
+  std::uint32_t hops;
+  std::uint32_t served_by_tier;  // served_by << 2 | tier
+};
+static_assert(sizeof(Served) == 16);
 
 // One active router's interest aggregation state, touched only by the
 // shard that owns the router and kept across windows: its Pending Interest
@@ -167,6 +211,7 @@ SimReport Simulation::run_windowed(ShardExecutor& executor,
                                    bool emission_order) {
   const obs::ScopedSpan run_span("sim.run");
   trace_.clear();
+  record_seconds_ = 0.0;
   timeline_ = config_.timeline_epoch > 0
                   ? obs::Timeline(config_.timeline_epoch, timeline_columns())
                   : obs::Timeline();
@@ -174,21 +219,21 @@ SimReport Simulation::run_windowed(ShardExecutor& executor,
       derive_seed(config_.seed, detail::kTraceSeedIndex),
       config_.trace_sample_k);
   topo_ = obs::TopoRecorder();
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> links;
   if (config_.record_topo) {
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> links;
     links.reserve(network_->graph().links().size());
     for (const topology::Graph::Link& link : network_->graph().links()) {
       links.emplace_back(link.u, link.v);
     }
     topo_ = obs::TopoRecorder(network_->graph().name(),
-                              network_->router_count(), links);
+                              network_->router_count(), std::move(links));
   }
   obs::TopoRecorder* const topo = topo_.enabled() ? &topo_ : nullptr;
   // Router-major shards serve against a network that carries NO recorder:
   // placements go to the per-shard recorders in the serve scratch, absorbed
-  // into the run recorder at the end. An emission-order run serves alone,
-  // so the network reports placements straight to the run recorder.
-  // Placement depths are computed whenever traces are sampled.
+  // into the run recorder at the end. An emission-order run serves on one
+  // thread, so the network reports placements straight to the run
+  // recorder. Placement depths are computed whenever traces are sampled.
   network_->set_topo_recorder(emission_order ? topo : nullptr);
   network_->set_record_placement_depth(sampler.enabled());
   std::uint64_t messages = 0;
@@ -218,25 +263,23 @@ SimReport Simulation::run_windowed(ShardExecutor& executor,
 
   // Contiguous split of the actives across at most `shards` shards (each
   // shard needs at least one router — more shards than routers cannot
-  // help, router-partitioned as the engine is); emission-order runs use
-  // one.
-  const std::size_t shard_count =
-      emission_order ? 1 : std::min(config_.shards, active_count);
+  // help, router-partitioned as every parallel stage is).
+  const std::size_t shard_count = std::min(config_.shards, active_count);
   std::vector<ShardState> shards(shard_count);
   for (std::size_t s = 0; s < shard_count; ++s) {
     ShardState& shard = shards[s];
     shard.lo = static_cast<std::uint32_t>(active_count * s / shard_count);
     shard.hi = static_cast<std::uint32_t>(active_count * (s + 1) / shard_count);
-    if (emission_order) {
-      shard.tier_topo = topo;
-      continue;
-    }
     if (config_.record_topo) {
+      // No links: a shard records tier events and placements, and link
+      // traversals reach the run recorder from the network's counters.
       shard.topo = obs::TopoRecorder(network_->graph().name(),
-                                     network_->router_count(), links);
+                                     network_->router_count(), {});
       shard.tier_topo = &shard.topo;
     }
-    shard.scratch = network_->make_shard_scratch(shard.tier_topo);
+    if (!emission_order) {
+      shard.scratch = network_->make_shard_scratch(shard.tier_topo);
+    }
   }
 
   std::vector<RouterGen> gens;
@@ -264,11 +307,16 @@ SimReport Simulation::run_windowed(ShardExecutor& executor,
   std::vector<std::size_t>& end = window_order.end;
   end.assign(active_count, 0);
   std::vector<std::span<const double>> candidates(active_count);
-  // Traced router-major runs: global request index of each window entry,
-  // router a's segment starting at offset[a] (cursor[a] fills it).
+  // Sorted windows map each router's entries to their window positions:
+  // router a's j-th entry is at position[offset[a] + j] of the emission
+  // order (cursor fills it). Traced router-major runs sample at those
+  // positions; emission-order runs draw and record through them into
+  // `contents` and `served`, which the serial serve loop walks in order.
   std::vector<std::size_t> offset(active_count, 0);
   std::vector<std::size_t> cursor(active_count, 0);
-  std::vector<std::uint64_t> win_index;
+  std::vector<std::uint32_t> position;
+  std::vector<cache::ContentId> contents;
+  std::vector<Served> served;
 
   std::uint64_t emitted = 0;
   while (emitted < total_requests) {
@@ -331,9 +379,10 @@ SimReport Simulation::run_windowed(ShardExecutor& executor,
     // --- Order (emission-order runs, and traced runs' measured windows):
     // sort the candidates below the horizon into the emission order,
     // (time, active position), and take its first `window` entries. An
-    // emission-order run serves window_order.order as it stands; a
-    // router-major run writes each entry's global request index into that
-    // router's segment of win_index, which trace sampling keys on.
+    // emission-order run serves window_order.order as it stands; each
+    // router's entries' positions in it go to the router's segment of
+    // `position`: a router-major run's trace sampling keys on them, an
+    // emission-order run's draw and record stages use them.
     const bool sampling = traced && measured;
     if (emission_order || sampling) {
       const obs::ScopedSpan order_span("sim.order");
@@ -341,17 +390,16 @@ SimReport Simulation::run_windowed(ShardExecutor& executor,
         candidates[a] = {gens[a].times.data(), gens[a].avail};
       }
       detail::order_window(candidates, window, window_order);
-      if (sampling) {
-        std::size_t running = 0;
-        for (std::size_t a = 0; a < active_count; ++a) {
-          offset[a] = running;
-          cursor[a] = running;
-          running += end[a];
-        }
-        win_index.resize(window);
-        for (std::uint64_t i = 0; i < window; ++i) {
-          win_index[cursor[window_order.order[i]]++] = base + i;
-        }
+      std::size_t running = 0;
+      for (std::size_t a = 0; a < active_count; ++a) {
+        offset[a] = running;
+        running += end[a];
+      }
+      cursor = offset;
+      position.reserve(window);
+      position.resize(window);
+      for (std::uint32_t i = 0; i < window; ++i) {
+        position[cursor[window_order.order[i]]++] = i;
       }
     } else {
       // --- Select (every other window): each router's count of the
@@ -405,20 +453,17 @@ SimReport Simulation::run_windowed(ShardExecutor& executor,
       CCNOPT_ASSERT(extra == 0);
     }
 
-    // The per-request record body of both serve loops: the epoch recorder
-    // and upstream count for every request; the metrics slot, the tier
-    // event and the sampled trace for measured ones. Under aggregation a
-    // non-local serve puts its fetch in flight instead, and its metrics
-    // slot is written when it lands. Every accumulation is per-router (or
-    // an integer count), so it is safe from concurrent shards owning
-    // disjoint routers. A trace must be taken straight after the serve
-    // that produced `result` — the hop path reads the routing scratch of
-    // the request in flight.
+    // The per-request record body: the epoch recorder and upstream count
+    // for every request; the metrics slot and the tier event for measured
+    // ones. Under aggregation a non-local serve puts its fetch in flight
+    // instead, and its metrics slot is written when it lands. Every
+    // accumulation is per-router (or an integer count), so it is safe from
+    // concurrent shards owning disjoint routers. `content` and `time` are
+    // read only under aggregation.
     const auto record = [&](auto aggregate, ShardState& shard,
                             std::uint64_t& upstream, std::uint32_t a,
                             topology::NodeId router, cache::ContentId content,
-                            const ServeResult& result, std::uint64_t index,
-                            double time) {
+                            const ServeResult& result, double time) {
       constexpr bool kAggregate = decltype(aggregate)::value;
       if (epoch != nullptr) epoch->accumulate(router, result);
       if (result.tier != ServeTier::kLocal) {
@@ -437,16 +482,24 @@ SimReport Simulation::run_windowed(ShardExecutor& executor,
                                     result.served_by, result.latency_ms,
                                     result.hops);
       }
-      if (sampling && sampler.should_sample(index)) {
-        obs::TraceEvent event{
-            0, index, static_cast<std::uint32_t>(router), content,
-            to_string(result.tier), result.hops,
-            static_cast<std::uint32_t>(result.served_by), {}, -1,
-            result.latency_ms};
-        event.path = network_->hop_path(router, content, result);
-        event.placement_depth = result.placement_depth;
-        shard.traces.push_back(std::move(event));
-      }
+    };
+
+    // Samples the trace of the request with global index `index`, in
+    // sampling (traced, measured) windows. It must be taken straight after
+    // the serve that produced `result`: the hop path reads the routing
+    // scratch of the request in flight.
+    const auto sample = [&](ShardState& shard, topology::NodeId router,
+                            cache::ContentId content, const ServeResult& result,
+                            std::uint64_t index) {
+      if (!sampler.should_sample(index)) return;
+      obs::TraceEvent event{
+          0, index, static_cast<std::uint32_t>(router), content,
+          to_string(result.tier), result.hops,
+          static_cast<std::uint32_t>(result.served_by), {}, -1,
+          result.latency_ms};
+      event.path = network_->hop_path(router, content, result);
+      event.placement_depth = result.placement_depth;
+      shard.traces.push_back(std::move(event));
     };
 
     // Interest aggregation, before router a's arrival at `time`: land the
@@ -466,34 +519,42 @@ SimReport Simulation::run_windowed(ShardExecutor& executor,
       return true;
     };
 
-    // --- Serve in emission order, one shard: draw each content in global
-    // order (a coupled workload's stream depends on it), prefetch the next
-    // request's cache state, and serve() against the shared network, whose
-    // on-path walks and peer fetches may touch any router's store and count
-    // links straight into its counters.
+    // --- Serve in emission order, on the calling thread: prefetch the
+    // next request's cache state and serve() the current one against the
+    // shared network, whose on-path walks, peer fetches and admission
+    // coins may touch any router's store and count links straight into
+    // its counters. Contents are read, and results kept for the record
+    // stage, in emission order, so this loop streams through both
+    // buffers. Under aggregation the router's PIT decides what is served,
+    // so landing, joining and recording all happen here, in emission
+    // order.
     const auto serve_in_emission_order = [&](auto aggregate) {
+      constexpr bool kAggregate = decltype(aggregate)::value;
       ShardState& shard = shards[0];
       std::uint64_t upstream = 0;
+      if constexpr (!kAggregate) {
+        served.reserve(window);
+        served.resize(window);
+      }
       const std::vector<std::uint32_t>& order = window_order.order;
-      topology::NodeId router = actives[order[0]];
-      cache::ContentId content = workload_->next(router);
       for (std::uint64_t i = 0; i < window; ++i) {
-        topology::NodeId next_router = 0;
-        cache::ContentId next_content = 0;
         if (i + 1 < window) {
-          next_router = actives[order[i + 1]];
-          next_content = workload_->next(next_router);
-          network_->prefetch(next_router, next_content);
+          network_->prefetch(actives[order[i + 1]], contents[i + 1]);
         }
+        const std::uint32_t a = order[i];
+        const topology::NodeId router = actives[a];
+        const cache::ContentId content = contents[i];
         const double time = window_order.times[i];
-        if (!decltype(aggregate)::value ||
-            !join(shard, order[i], router, content, time)) {
+        if (!kAggregate || !join(shard, a, router, content, time)) {
           const ServeResult result = network_->serve(router, content);
-          record(aggregate, shard, upstream, order[i], router, content, result,
-                 base + i, time);
+          if constexpr (kAggregate) {
+            record(aggregate, shard, upstream, a, router, content, result,
+                   time);
+          } else {
+            served[i] = Served::of(result);
+          }
+          if (sampling) sample(shard, router, content, result, base + i);
         }
-        router = next_router;
-        content = next_content;
       }
       shard.upstream += upstream;
     };
@@ -541,7 +602,11 @@ SimReport Simulation::run_windowed(ShardExecutor& executor,
             const ServeResult result =
                 network_->serve_sharded(router, content, shard.scratch);
             record(aggregate, shard, upstream, a, router, content, result,
-                   sampling ? win_index[offset[a] + j] : 0, time);
+                   time);
+            if (sampling) {
+              sample(shard, router, content, result,
+                     base + position[offset[a] + j]);
+            }
           }
           if (!more) break;
           a = next_a;
@@ -558,24 +623,70 @@ SimReport Simulation::run_windowed(ShardExecutor& executor,
       }
     };
 
-    {
-      const obs::ScopedSpan serve_span("sim.serve");
-      // Each serve loop is instantiated with and without aggregation, and
-      // chosen once per window, so a run without it pays nothing for it.
-      const auto dispatch = [&](const auto& serve) {
-        if (config_.interest_aggregation) {
-          serve(std::true_type{});
-        } else {
-          serve(std::false_type{});
-        }
-      };
-      if (emission_order) {
-        dispatch(serve_in_emission_order);
+    // Each serve loop is instantiated with and without aggregation, and
+    // chosen once per window, so a run without it pays nothing for it.
+    const auto dispatch = [&](const auto& serve) {
+      if (config_.interest_aggregation) {
+        serve(std::true_type{});
       } else {
-        dispatch(serve_router_major);
+        serve(std::false_type{});
       }
-      if (recorder) recorder->advance(window);
+    };
+    if (emission_order) {
+      // --- Draw: the window's contents, in emission order. With
+      // per-router workload streams, every shard draws its own routers'
+      // entries, router by router in arrival order, and writes each at its
+      // window position; a coupled workload's stream depends on the global
+      // interleaving, so it draws serially in emission order.
+      {
+        const obs::ScopedSpan draw_span("sim.draw");
+        contents.reserve(window);
+        contents.resize(window);
+        if (workload_->per_router_streams()) {
+          executor.run_shards(shard_count, [&](std::size_t s) {
+            for (std::uint32_t a = shards[s].lo; a < shards[s].hi; ++a) {
+              const std::uint32_t* const at = position.data() + offset[a];
+              for (std::size_t j = 0; j < end[a]; ++j) {
+                contents[at[j]] = workload_->next(actives[a]);
+              }
+            }
+          });
+        } else {
+          for (std::uint64_t i = 0; i < window; ++i) {
+            contents[i] = workload_->next(actives[window_order.order[i]]);
+          }
+        }
+      }
+      {
+        const obs::ScopedSpan serve_span("sim.serve");
+        dispatch(serve_in_emission_order);
+      }
+      // --- Record (windows without aggregation): each shard walks its
+      // routers and records each router's results in its arrival order,
+      // as the router-major serve loop records them.
+      if (!config_.interest_aggregation) {
+        const obs::ScopedSpan record_span("sim.record");
+        const Clock::time_point record_start = Clock::now();
+        executor.run_shards(shard_count, [&](std::size_t s) {
+          ShardState& shard = shards[s];
+          std::uint64_t upstream = 0;
+          for (std::uint32_t a = shard.lo; a < shard.hi; ++a) {
+            const std::uint32_t* const at = position.data() + offset[a];
+            for (std::size_t j = 0; j < end[a]; ++j) {
+              record(std::false_type{}, shard, upstream, a, actives[a], 0,
+                     served[at[j]].result(), 0.0);
+            }
+          }
+          shard.upstream += upstream;
+        });
+        record_seconds_ +=
+            std::chrono::duration<double>(Clock::now() - record_start).count();
+      }
+    } else {
+      const obs::ScopedSpan serve_span("sim.serve");
+      dispatch(serve_router_major);
     }
+    if (recorder) recorder->advance(window);
     emitted += window;
 
     // --- Drop the window's arrival times.
@@ -602,10 +713,12 @@ SimReport Simulation::run_windowed(ShardExecutor& executor,
 
   // Fold the per-shard tier/placement recorders (integer counters sum
   // exactly under any grouping; the double latency sums are per-router
-  // and only the owning shard's recorder carries a non-zero value, so
-  // absorbing the others adds a bit-neutral +0.0 — shard index order
-  // keeps the fold canonical anyway; an emission-order run's shard has
-  // none, its events went to the run recorder). Then take the end-of-run
+  // and only one shard's recorder carries a router's non-zero value — the
+  // owning shard's, or shard 0's for an aggregated emission-order run,
+  // which records inline — so absorbing the others adds a bit-neutral
+  // +0.0; shard index order keeps the fold canonical anyway; placements
+  // of emission-order runs went straight to the run recorder, whose
+  // latency sums are all +0.0 until the fold). Then take the end-of-run
   // snapshots; the per-router cache snapshot writes disjoint nodes, so it
   // folds over fixed index-ordered router blocks on the executor.
   if (topo != nullptr) {

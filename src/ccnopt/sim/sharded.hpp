@@ -1,7 +1,8 @@
 // Windowed request engine: every simulation run. A run that
 // sharded_run_disqualifier() admits is partitioned by first-hop router
-// across worker shards; any other run is served on one shard in emission
-// order. Outputs are bit-identical at any shard count, one included.
+// across worker shards; any other run calls serve() serially in emission
+// order and runs only its per-router stages on the shards. Outputs are
+// bit-identical at any shard count, one included.
 //
 // Why router partitioning is exact (not approximate): under owner-table
 // forwarding without peer-local fetch, serving a request at router r
@@ -38,14 +39,21 @@
 // remain serial.
 //
 // Emission order. On-path strategies mutate every store along a miss
-// path, peer-local fetch reads other routers' stores, and a coupled
-// workload's draws depend on the global interleaving, so those runs need
-// the requests one at a time in global order. They use one shard: each
-// window is sorted as above into the list of its requests' routers, and
-// one loop draws, prefetches, serve()s and records them in that order,
-// through the same record body as the router-major loop. The network
-// then carries the run's own topo recorder and counts links in its
-// shared counters; no shard scratch is built or folded.
+// path, peer-local fetch reads other routers' stores, and the prob
+// admission coins come from one network-wide stream, so those runs need
+// their serve() calls one at a time in global order. Only that stage is
+// serial. Each window is sorted as above into the list of its requests'
+// routers, and each router's entries are mapped to their positions in
+// it. The shards draw each router's contents in its arrival order and
+// write them at those positions (a coupled workload, whose draws depend
+// on the global interleaving, draws serially in emission order); one loop
+// prefetches and serve()s the requests in order, keeping each result at
+// its position and taking sampled traces on the spot; the shards then
+// record each router's results in its arrival order, through the same
+// record body as the router-major loop. The network carries the
+// run's own topo recorder for placements and counts links in its shared
+// counters; no shard scratch is built or folded. Aggregated windows
+// record inside the serve loop, because the PIT decides what is served.
 //
 // Interest aggregation. A router's Pending Interest Table is keyed by
 // (router, content), and a completing fetch never touches a cache, so
@@ -67,8 +75,9 @@
 namespace ccnopt::sim {
 
 /// Runs the bodies of one parallel region. The windowed engine issues a
-/// sequence of regions per window (generate, then the router-major serve)
-/// and one end-of-run cache snapshot; each run_shards() call is a barrier:
+/// sequence of regions per window (generate, then the router-major serve,
+/// or an emission-order run's draw and record) and one end-of-run cache
+/// snapshot; each run_shards() call is a barrier:
 /// it returns only after every body completed, and every write a body made
 /// happens-before the caller's next statement. Implementations may run
 /// bodies concurrently (runtime::ShardScheduler) or inline.
@@ -96,10 +105,10 @@ class SerialShardExecutor final : public ShardExecutor {
 /// without seeing the global interleaving) and owner-table forwarding
 /// without peer-local fetch (the router-exclusive mutation argument
 /// above), whatever its shard count or interest aggregation. A
-/// non-qualifying run is served on one shard in emission order — same
+/// non-qualifying run calls serve() serially in emission order — same
 /// outputs, by the bit-identity contract — and Simulation::run() logs the
-/// returned reason when more than one shard was requested, so it can
-/// never masquerade as a sharded measurement.
+/// returned reason when more than one shard was requested, so its serial
+/// serve loop can never masquerade as a sharded measurement.
 const char* sharded_run_disqualifier(const Workload& workload,
                                      const CcnNetwork& network);
 

@@ -52,19 +52,21 @@ void Simulation::set_workload(std::unique_ptr<Workload> workload) {
 SimReport Simulation::run() {
   CCNOPT_EXPECTS(config_.arrival_rate_per_router > 0.0);
   // The windowed engine: runs that qualify partition the stream by first-hop
-  // router and serve shards concurrently; the rest are served on one shard
-  // in emission order (sharded.hpp). Outputs are bit-identical at any shard
-  // count. Without an attached executor the shards run serially, which
-  // keeps the engine testable single-threaded.
+  // router and serve shards concurrently; the rest serve serially in
+  // emission order, with only their per-router stages on the shards
+  // (sharded.hpp). Outputs are bit-identical at any shard count. Without
+  // an attached executor the shards run serially, which keeps the engine
+  // testable single-threaded.
   const char* const disqualifier =
       sharded_run_disqualifier(*workload_, *network_);
   if (disqualifier != nullptr && config_.shards > 1) {
-    // Same outputs, one thread — never let a bench measure one thread
-    // thinking it measured shards.
+    // Same outputs, a serial serve loop — never let a bench measure one
+    // serving thread thinking it measured shards.
     CCNOPT_LOG(kWarn) << "windowed engine: shards=" << config_.shards
                       << " requested but the run does not qualify ("
                       << disqualifier
-                      << "); serving it on one shard in emission order";
+                      << "); serving it serially in emission order, with "
+                         "only arrivals, draws and recording on the shards";
   }
   const bool emission_order = disqualifier != nullptr;
   if (shard_executor_ != nullptr) {

@@ -48,11 +48,13 @@ struct SimConfig {
   /// serving its routers' window segments router-major against the one
   /// shared network; an attached ShardExecutor (set_shard_executor)
   /// supplies the worker threads, otherwise the shards run serially on
-  /// the calling thread. Any other run is served on one shard in emission
-  /// order, with a one-line CCNOPT_LOG(kWarn) naming the disqualifier when
-  /// shards > 1, so bench runs cannot silently measure a single thread.
-  /// Every output (report, metrics, timeline, topo, traces) is
-  /// byte-identical at any shard count.
+  /// the calling thread. Any other run serves its requests one at a time
+  /// in emission order, and only its per-router stages (arrival times,
+  /// content draws, recording) run on the shards, with a one-line
+  /// CCNOPT_LOG(kWarn) naming the disqualifier when shards > 1, so bench
+  /// runs cannot silently measure a serial serve loop. Every output
+  /// (report, metrics, timeline, topo, traces) is byte-identical at any
+  /// shard count.
   std::size_t shards = 1;
   std::uint64_t seed = 42;
   /// Time-resolved telemetry: when > 0, the run accumulates an
@@ -114,11 +116,13 @@ class Simulation {
   };
   PhaseSeconds last_phase_seconds() const { return phase_seconds_; }
 
-  /// Always 0: the engine records each request inside its serve loop, so
-  /// there is no separate record pass to clock. Kept because
-  /// benchmarks read it and estimate record time per request instead
-  /// when it is 0.
-  double last_record_seconds() const { return 0.0; }
+  /// Wall-clock seconds the last run() spent in its record stage, summed
+  /// over windows: emission-order windows without interest aggregation
+  /// serve serially, then record in a separate parallel pass. 0 where
+  /// recording is fused into the serve loop — router-major runs and
+  /// aggregated windows — and before the first run; benchmarks then
+  /// estimate record time per request instead.
+  double last_record_seconds() const { return record_seconds_; }
 
   const CcnNetwork& network() const { return *network_; }
   CcnNetwork& network() { return *network_; }
@@ -138,8 +142,9 @@ class Simulation {
 
  private:
   /// The windowed request engine (sharded.cpp), which serves every run;
-  /// `emission_order` serves on one shard in the global order (runs
-  /// sharded_run_disqualifier rejects).
+  /// `emission_order` serves serially in the global order (runs
+  /// sharded_run_disqualifier rejects), with every other stage on the
+  /// shards.
   SimReport run_windowed(ShardExecutor& executor, bool emission_order);
 
   SimConfig config_;
@@ -147,6 +152,7 @@ class Simulation {
   std::unique_ptr<Workload> workload_;
   ShardExecutor* shard_executor_ = nullptr;
   PhaseSeconds phase_seconds_;
+  double record_seconds_ = 0.0;
   obs::TraceBuffer trace_;
   obs::Timeline timeline_;
   obs::TopoRecorder topo_;

@@ -26,7 +26,8 @@ ZipfWorkload::ZipfWorkload(std::size_t router_count,
   for (std::size_t i = 0; i < router_count; ++i) {
     streams_.emplace_back(seed + 0x9E3779B97F4A7C15ULL * (i + 1));
   }
-  buffers_.resize(router_count);
+  draws_.resize(router_count * kDrawBlock);
+  pos_.resize(router_count);
 }
 
 cache::ContentId ZipfWorkload::next(std::size_t router_index) {
@@ -36,15 +37,13 @@ cache::ContentId ZipfWorkload::next(std::size_t router_index) {
   // a pure function of this router's call count — so every serve order
   // (emission order, router-major shards) sees the identical per-router
   // sequence while paying the virtual sampler dispatch once per block.
-  DrawBuffer& buf = buffers_[router_index];
-  if (buf.pos == buf.filled) {
-    if (buf.draws.empty()) buf.draws.resize(kDrawBlock);
-    sampler_->sample_block(streams_[router_index], buf.draws.data(),
-                           kDrawBlock);
-    buf.filled = kDrawBlock;
-    buf.pos = 0;
+  std::uint64_t* const block = draws_.data() + router_index * kDrawBlock;
+  std::size_t& pos = pos_[router_index].next;
+  if (pos == kDrawBlock) {
+    sampler_->sample_block(streams_[router_index], block, kDrawBlock);
+    pos = 0;
   }
-  return buf.draws[buf.pos++];
+  return block[pos++];
 }
 
 DriftingZipfWorkload::DriftingZipfWorkload(std::size_t router_count,

@@ -26,9 +26,11 @@ class Workload {
   virtual bool active(std::size_t) const { return true; }
   /// True when each router's request sequence depends only on how many
   /// times next() was called FOR THAT ROUTER — never on the global
-  /// interleaving across routers. The sharded engine requires this to call
-  /// next() from concurrent shards (each owning disjoint routers) and still
-  /// reproduce the sequential streams bit for bit. Workloads whose drift
+  /// interleaving across routers. The windowed engine calls next() from
+  /// concurrent shards (each owning disjoint routers) only when this
+  /// holds, in every serve order, and still reproduces the sequential
+  /// streams bit for bit; otherwise it draws serially in emission order,
+  /// and the run cannot be served router-major. Workloads whose drift
   /// state cannot be derived from per-router positions (and anything else
   /// with cross-router mutable state) must return false.
   virtual bool per_router_streams() const { return false; }
@@ -57,16 +59,21 @@ class ZipfWorkload final : public Workload {
   /// per-router call count, so buffering never changes the emitted stream.
   static constexpr std::size_t kDrawBlock = 256;
 
-  struct DrawBuffer {
-    std::vector<std::uint64_t> draws;  // sized kDrawBlock on first refill
-    std::size_t pos = 0;
-    std::size_t filled = 0;
-  };
-
   std::uint64_t catalog_size_;
   std::shared_ptr<popularity::RankSampler> sampler_;  // shared, stateless
   std::vector<Rng> streams_;
-  std::vector<DrawBuffer> buffers_;
+  // Router r's block of draws is draws_[r * kDrawBlock, (r + 1) *
+  // kDrawBlock), allocated here for every router, so next() never
+  // allocates from whichever thread calls it.
+  std::vector<std::uint64_t> draws_;
+  // Router r's next unread entry of its block, kDrawBlock when the block
+  // is spent (or never filled); every next() writes it. A cache line per
+  // router, so shards drawing for neighbouring routers never write to one
+  // line.
+  struct alignas(64) BlockPosition {
+    std::size_t next = kDrawBlock;
+  };
+  std::vector<BlockPosition> pos_;
 };
 
 /// Zipf IRM whose exponent drifts through a schedule of phases — the

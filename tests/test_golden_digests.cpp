@@ -609,10 +609,11 @@ class CountingShardExecutor final : public ShardExecutor {
   std::size_t widest = 0;
 };
 
-TEST(ShardDeterminismEdges, ShardCountFollowsTheDisqualifier) {
-  // A qualifying run serves on every requested shard, interest aggregation
-  // included; on-path LCD or a coupled workload falls back to one shard in
-  // emission order, with or without aggregation.
+TEST(ShardDeterminismEdges, ShardCountIgnoresTheDisqualifier) {
+  // Every run uses min(shards, active routers) shards: a qualifying run
+  // serves on them, and a run served in emission order (on-path LCD, a
+  // coupled workload) still generates, draws and records on them, with or
+  // without aggregation. The disqualifier picks only the serve order.
   const auto widest_region = [](const SimConfig& config, bool coupled) {
     CountingShardExecutor executor;
     Simulation sim(topology::us_a(), config);
@@ -622,15 +623,90 @@ TEST(ShardDeterminismEdges, ShardCountFollowsTheDisqualifier) {
     EXPECT_EQ(report.aggregated_requests > 0, config.interest_aggregation);
     return executor.widest;
   };
-  SimConfig config = base_config();
-  config.shards = 4;
-  EXPECT_EQ(widest_region(config, false), 4u);
-  EXPECT_EQ(widest_region(config, true), 1u);
-  config.interest_aggregation = true;
-  EXPECT_EQ(widest_region(config, false), 4u);
-  EXPECT_EQ(widest_region(config, true), 1u);
-  config.network.strategy = "lcd";
-  EXPECT_EQ(widest_region(config, false), 1u);
+  const std::size_t routers = topology::us_a().node_count();
+  for (const bool aggregation : {false, true}) {
+    SimConfig config = base_config();
+    config.interest_aggregation = aggregation;
+    config.shards = 4;
+    EXPECT_EQ(widest_region(config, false), 4u);
+    EXPECT_EQ(widest_region(config, true), 4u);
+    config.network.strategy = "lcd";
+    EXPECT_EQ(widest_region(config, false), 4u);
+    config.shards = routers + 1;
+    EXPECT_EQ(widest_region(config, false), routers);
+    EXPECT_EQ(widest_region(config, true), routers);
+  }
+}
+
+TEST(ShardDeterminismEdges, EmissionOrderRunsMatchOneShardOnPooledShards) {
+  // Runs served in emission order draw and record on real pool threads;
+  // their report, timeline rows, topo export and traces must equal the
+  // shards = 1 run's at every shard count, more shards than routers
+  // included.
+  struct Run {
+    std::string name;
+    std::string topology;
+    SimConfig config;
+    bool coupled = false;
+  };
+  std::vector<Run> runs;
+  SimConfig lcd = base_config();
+  lcd.network.strategy = "lcd";
+  runs.push_back({"lcd", "waxman150", lcd, false});
+  SimConfig peer_fetch = base_config();
+  peer_fetch.network.allow_peer_local_fetch = true;
+  runs.push_back({"peer_fetch", "us-a", peer_fetch, false});
+  runs.push_back({"coupled", "cernet", base_config(), true});
+  SimConfig lcd_aggregated = lcd;
+  lcd_aggregated.interest_aggregation = true;
+  runs.push_back({"lcd_aggregated", "us-a", lcd_aggregated, false});
+
+  struct Outputs {
+    std::uint64_t report = 0;
+    std::string timeline;
+    std::string topo;
+    std::string traces;
+  };
+  runtime::ThreadPool pool(4);
+  runtime::ShardScheduler scheduler(pool);
+  for (const Run& run : runs) {
+    const topology::Graph graph = cell_graph(run.topology);
+    const auto outputs = [&](std::size_t shards, ShardExecutor* executor) {
+      SimConfig config = run.config;
+      config.shards = shards;
+      Simulation sim(graph, config);
+      if (run.coupled) {
+        sim.set_workload(std::make_unique<SharedStreamWorkload>());
+      }
+      if (executor != nullptr) sim.set_shard_executor(executor);
+      Outputs out;
+      Fnv1a hash;
+      hash_report(hash, sim.run());
+      out.report = hash.value();
+      std::ostringstream timeline;
+      obs::write_timeline_json(timeline, sim.timeline());
+      out.timeline = timeline.str();
+      std::ostringstream topo;
+      obs::write_topo_json(topo, sim.topo());
+      out.topo = topo.str();
+      std::ostringstream traces;
+      obs::write_traces_json(traces, sim.traces());
+      out.traces = traces.str();
+      return out;
+    };
+    const Outputs reference = outputs(1, nullptr);
+    EXPECT_FALSE(reference.timeline.empty());
+    for (const std::size_t shards :
+         {std::size_t{1}, std::size_t{3}, std::size_t{7},
+          graph.node_count() + 1}) {
+      const Outputs pooled = outputs(shards, &scheduler);
+      const std::string what = run.name + " at shards=" + std::to_string(shards);
+      EXPECT_EQ(hex(pooled.report), hex(reference.report)) << what;
+      EXPECT_EQ(pooled.timeline, reference.timeline) << what;
+      EXPECT_EQ(pooled.topo, reference.topo) << what;
+      EXPECT_EQ(pooled.traces, reference.traces) << what;
+    }
+  }
 }
 
 TEST(ShardDeterminismDeathTest, ZeroShardsIsRejected) {
@@ -699,22 +775,6 @@ TEST(ShardDeterminismPhases, PhaseClockCoversBothPhases) {
   const Simulation::PhaseSeconds phases = sim.last_phase_seconds();
   EXPECT_GT(phases.warmup, 0.0);
   EXPECT_GT(phases.measured, 0.0);
-}
-
-TEST(RecordPassTiming, RecordSecondsAreZeroOnEveryEngine) {
-  // The engine records inside its serve loop, so there is no record pass
-  // to clock; benchmarks estimate record time per request when this is 0.
-  SimConfig config = base_config();
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{8}}) {
-    config.shards = shards;
-    Simulation sim(topology::us_a(), config);
-    sim.run();
-    EXPECT_EQ(sim.last_record_seconds(), 0.0);
-  }
-  config.network.strategy = "lcd";
-  Simulation sim(topology::us_a(), config);
-  sim.run();
-  EXPECT_EQ(sim.last_record_seconds(), 0.0);
 }
 
 }  // namespace

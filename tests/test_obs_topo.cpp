@@ -112,6 +112,30 @@ TEST(TopoRecorder, DisabledSummaryAdoptsFirstMerge) {
   EXPECT_EQ(summary.total_requests(), 1u);
 }
 
+TEST(TopoRecorder, AbsorbsALinkFreeShardRecorder) {
+  // A shard recorder carries no links: absorbing it adds its nodes and
+  // placement depths and leaves the run's link loads and replication
+  // count alone.
+  TopoRecorder run = make_triangle();
+  run.on_placement(1, 0);
+  run.add_link_traversals({2, 0, 1});
+  TopoRecorder shard("triangle", 3, {});
+  shard.on_request(0, kTopoTierNetwork, 2, 4.5, 2);
+  shard.on_placement(2, 1);
+
+  run.absorb(shard);
+  EXPECT_EQ(run.replications(), 1u);
+  EXPECT_EQ(run.nodes()[0].network, 1u);
+  EXPECT_DOUBLE_EQ(run.nodes()[0].latency_ms_sum, 4.5);
+  EXPECT_EQ(run.nodes()[2].served_for_peers, 1u);
+  EXPECT_EQ(run.total_placements(), 2u);
+  ASSERT_EQ(run.placement_depths().size(), 2u);
+  EXPECT_EQ(run.placement_depths()[1], 1u);
+  ASSERT_EQ(run.links().size(), 3u);
+  EXPECT_EQ(run.total_link_traversals(), 3u);
+  EXPECT_EQ(run.links()[0].traversals, 2u);
+}
+
 TEST(TopoWriters, JsonCarriesSchemaShapeAndCounters) {
   TopoRecorder topo = make_triangle();
   topo.on_request(0, kTopoTierNetwork, 2, 4.5, 2);

@@ -1,11 +1,16 @@
 #include "ccnopt/sim/simulation.hpp"
 
 #include <cstdint>
+#include <ios>
+#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "ccnopt/obs/export.hpp"
 #include "ccnopt/obs/span.hpp"
+#include "ccnopt/runtime/shard_scheduler.hpp"
+#include "ccnopt/runtime/thread_pool.hpp"
 #include "ccnopt/topology/datasets.hpp"
 #include "ccnopt/topology/generators.hpp"
 
@@ -146,15 +151,29 @@ TEST(Simulation, StageSpansRecordEachWindow) {
   EXPECT_EQ(span_count("sim.run/sim.replay/sim.generate"), 12u);
   EXPECT_EQ(span_count("sim.run/sim.replay/sim.order"), 12u);
   EXPECT_EQ(span_count("sim.run/sim.replay/sim.select"), 0u);
+  EXPECT_EQ(span_count("sim.run/sim.replay/sim.draw"), 12u);
   EXPECT_EQ(span_count("sim.run/sim.replay/sim.serve"), 12u);
+  EXPECT_EQ(span_count("sim.run/sim.replay/sim.record"), 12u);
 
-  // Untraced router-major windows need no global order: they bisect.
+  // Aggregated emission-order windows record inside the serve loop.
+  lcd.interest_aggregation = true;
+  obs::SpanProfiler::instance().reset();
+  Simulation aggregated(topology::cernet(), lcd);
+  aggregated.run();
+  EXPECT_EQ(span_count("sim.run/sim.replay/sim.draw"), 12u);
+  EXPECT_EQ(span_count("sim.run/sim.replay/sim.serve"), 12u);
+  EXPECT_EQ(span_count("sim.run/sim.replay/sim.record"), 0u);
+
+  // Untraced router-major windows need no global order: they bisect, and
+  // draw and record inside the serve loop.
   obs::SpanProfiler::instance().reset();
   Simulation router_major(topology::us_a(), config);
   router_major.run();
   EXPECT_EQ(span_count("sim.run/sim.replay/sim.order"), 0u);
   EXPECT_EQ(span_count("sim.run/sim.replay/sim.select"), 12u);
+  EXPECT_EQ(span_count("sim.run/sim.replay/sim.draw"), 0u);
   EXPECT_EQ(span_count("sim.run/sim.replay/sim.serve"), 12u);
+  EXPECT_EQ(span_count("sim.run/sim.replay/sim.record"), 0u);
 
   // A traced run sorts its 10 measured windows and bisects its 2 warmup
   // windows.
@@ -164,6 +183,67 @@ TEST(Simulation, StageSpansRecordEachWindow) {
   traced.run();
   EXPECT_EQ(span_count("sim.run/sim.replay/sim.order"), 10u);
   EXPECT_EQ(span_count("sim.run/sim.replay/sim.select"), 2u);
+}
+
+TEST(RecordPassTiming, RecordSecondsCountOnlyASeparateRecordStage) {
+  // Emission-order windows without aggregation record in a stage of their
+  // own, which the run clocks; router-major runs and aggregated windows
+  // record inside the serve loop, so there is no record stage to clock.
+  SimConfig config = base_config();
+  config.network.local_mode = LocalStoreMode::kLru;
+  runtime::ThreadPool pool(4);
+  runtime::ShardScheduler scheduler(pool);
+  const auto record_seconds = [&scheduler](const SimConfig& run) {
+    Simulation simulation(topology::us_a(), run);
+    simulation.set_shard_executor(&scheduler);
+    EXPECT_EQ(simulation.last_record_seconds(), 0.0);
+    simulation.run();
+    return simulation.last_record_seconds();
+  };
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{8}}) {
+    config.shards = shards;
+    config.network.strategy = "coordinated-split";
+    config.interest_aggregation = false;
+    EXPECT_EQ(record_seconds(config), 0.0);
+    config.interest_aggregation = true;
+    EXPECT_EQ(record_seconds(config), 0.0);
+    config.network.strategy = "lcd";
+    EXPECT_EQ(record_seconds(config), 0.0);
+    config.interest_aggregation = false;
+    EXPECT_GT(record_seconds(config), 0.0);
+  }
+}
+
+TEST(SimulationShards, EmissionOrderStagesOnPoolThreadsMatchOneShard) {
+  // An on-path run serves in emission order, but pool threads draw its
+  // contents and write its epoch, metrics and topo partials; every export
+  // must equal the one-shard run's.
+  SimConfig config = base_config();
+  config.network.local_mode = LocalStoreMode::kLru;
+  config.network.strategy = "lcd";
+  config.warmup_requests = 2000;
+  config.timeline_epoch = 700;
+  config.trace_sample_k = 16;
+  config.record_topo = true;
+  const auto exports = [](const Simulation& simulation,
+                          const SimReport& report) {
+    std::ostringstream out;
+    out << std::hexfloat << report.local_fraction << ' ' << report.network_fraction << ' '
+        << report.origin_load << ' ' << report.mean_latency_ms << ' '
+        << report.mean_hops << ' ' << report.upstream_fetches << '\n';
+    obs::write_timeline_json(out, simulation.timeline());
+    obs::write_topo_json(out, simulation.topo());
+    obs::write_traces_json(out, simulation.traces());
+    return out.str();
+  };
+  Simulation one(topology::us_a(), config);
+  const std::string expected = exports(one, one.run());
+  runtime::ThreadPool pool(4);
+  runtime::ShardScheduler scheduler(pool);
+  config.shards = 5;
+  Simulation sharded(topology::us_a(), config);
+  sharded.set_shard_executor(&scheduler);
+  EXPECT_EQ(exports(sharded, sharded.run()), expected);
 }
 
 TEST(SimulationDeath, WorkloadLargerThanCatalogRejected) {

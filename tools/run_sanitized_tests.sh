@@ -68,9 +68,13 @@ TARGETS=(
 # because a race between threads shows only under some interleavings and
 # one pass has let a race on the rethrown exception through.
 # test_runtime_runners runs replications on 1 and 8 threads.
+# test_sim_simulation covers the emission-order stages on shards: pool
+# threads call Workload::next() and write epoch, metrics and topo
+# partials of on-path runs.
 TSAN_TARGETS=(
   test_topology_route_table
   test_golden_digests
+  test_sim_simulation
   test_runtime_thread_pool
   test_runtime_runners
   test_runtime_shard_scheduler

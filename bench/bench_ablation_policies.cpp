@@ -126,7 +126,7 @@ int main() {
       const popularity::ZipfDistribution zipf(20000, 0.8);
       const auto che = cache::CheApproximation::create(zipf, capacity);
       auto lru = cache::make_policy(cache::PolicyKind::kLru, capacity, 5);
-      popularity::AliasSampler sampler(zipf);
+      popularity::AliasSampler sampler(20000, 0.8);
       Rng rng(31337);
       for (int i = 0; i < 200000; ++i) lru->admit(sampler.sample(rng));
       lru->reset_stats();

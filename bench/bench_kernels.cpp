@@ -34,9 +34,8 @@ void BM_HarmonicEulerMaclaurin(benchmark::State& state) {
 BENCHMARK(BM_HarmonicEulerMaclaurin)->Arg(100000)->Arg(1000000000);
 
 void BM_ZipfAliasSample(benchmark::State& state) {
-  const popularity::ZipfDistribution zipf(
+  popularity::AliasSampler sampler(
       static_cast<std::uint64_t>(state.range(0)), 0.8);
-  popularity::AliasSampler sampler(zipf);
   Rng rng(1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(sampler.sample(rng));
@@ -57,7 +56,7 @@ BENCHMARK(BM_ZipfInverseCdfSample)->Arg(10000)->Arg(1000000);
 void BM_CachePolicyAdmit(benchmark::State& state) {
   const auto kind = static_cast<cache::PolicyKind>(state.range(0));
   auto policy = cache::make_policy(kind, 1024, 7);
-  popularity::AliasSampler sampler(popularity::ZipfDistribution(16384, 0.8));
+  popularity::AliasSampler sampler(16384, 0.8);
   Rng rng(2);
   for (auto _ : state) {
     benchmark::DoNotOptimize(policy->admit(sampler.sample(rng)));
@@ -116,7 +115,7 @@ void BM_NetworkServe(benchmark::State& state) {
   config.local_mode = sim::LocalStoreMode::kStaticTop;
   sim::CcnNetwork network(topology::us_a(), config);
   network.provision(static_cast<std::size_t>(state.range(0)));
-  popularity::AliasSampler sampler(popularity::ZipfDistribution(20000, 0.8));
+  popularity::AliasSampler sampler(20000, 0.8);
   Rng rng(3);
   topology::NodeId router = 0;
   for (auto _ : state) {

@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
             << ", Zipf s=0.8) ===\n\n";
 
   // One shared stream so every policy sees identical requests.
-  popularity::AliasSampler sampler(popularity::ZipfDistribution(catalog, 0.8));
+  popularity::AliasSampler sampler(catalog, 0.8);
   Rng rng(20240806);
   std::vector<cache::ContentId> stream(ops);
   for (auto& id : stream) id = sampler.sample(rng);

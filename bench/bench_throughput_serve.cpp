@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
   network.provision(capacity / 2);
 
   // Pre-generate (router, content) pairs so sampling stays off the clock.
-  popularity::AliasSampler sampler(popularity::ZipfDistribution(catalog, 0.8));
+  popularity::AliasSampler sampler(catalog, 0.8);
   Rng rng(411);
   std::vector<cache::ContentId> contents(requests);
   std::vector<topology::NodeId> routers(requests);

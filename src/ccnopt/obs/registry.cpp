@@ -31,6 +31,8 @@ Histogram::Histogram(std::vector<double> upper_bounds)
 void Histogram::observe(double value) {
   CCNOPT_EXPECTS(!bounds_.empty());
   CCNOPT_EXPECTS(std::isfinite(value));
+  const double scaled = value * kSumScale;
+  CCNOPT_EXPECTS(std::abs(scaled) < 0x1p62);
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
   ++counts_[static_cast<std::size_t>(it - bounds_.begin())];
   if (count_ == 0) {
@@ -41,7 +43,12 @@ void Histogram::observe(double value) {
     max_ = std::max(max_, value);
   }
   ++count_;
-  sum_fp_ += std::llround(value * kSumScale);
+  // std::llround without the libm call: truncation and the fraction it
+  // drops are both exact below 2^62, and a fraction of +-0.5 rounds away
+  // from zero as llround does.
+  const auto whole = static_cast<std::int64_t>(scaled);
+  const double frac = scaled - static_cast<double>(whole);
+  sum_fp_ += whole + (frac >= 0.5) - (frac <= -0.5);
 }
 
 void Histogram::merge(const Histogram& other) {

@@ -21,42 +21,39 @@ double helper2(double x) {
 
 }  // namespace
 
-AliasSampler::AliasSampler(const std::vector<double>& weights) {
-  build(weights);
+AliasSampler::AliasSampler(const std::vector<double>& weights)
+    : prob_(weights) {
+  build();
 }
 
-AliasSampler::AliasSampler(const ZipfDistribution& zipf) {
+AliasSampler::AliasSampler(std::uint64_t catalog_size, double exponent) {
+  CCNOPT_EXPECTS(catalog_size >= 1);
+  CCNOPT_EXPECTS(exponent > 0.0);
   // Zipf weight i^-s computed as exp(-s * log i): one transcendental per
-  // rank instead of pow()'s two, into a buffer reused across rebuilds on
-  // the same thread (per-epoch workloads reconstruct samplers often).
-  thread_local std::vector<double> weights;
-  weights.resize(zipf.catalog_size());
-  const double s = zipf.exponent();
-  weights[0] = 1.0;  // exp(-s * log 1)
-  for (std::uint64_t i = 1; i < weights.size(); ++i) {
-    weights[i] = std::exp(-s * std::log(static_cast<double>(i + 1)));
+  // rank instead of pow()'s two.
+  prob_.resize(catalog_size);
+  prob_[0] = 1.0;  // exp(-s * log 1)
+  for (std::uint64_t i = 1; i < catalog_size; ++i) {
+    prob_[i] = std::exp(-exponent * std::log(static_cast<double>(i + 1)));
   }
-  build(weights);
+  build();
 }
 
-void AliasSampler::build(const std::vector<double>& weights) {
-  CCNOPT_EXPECTS(!weights.empty());
-  const std::size_t n = weights.size();
+void AliasSampler::build() {
+  CCNOPT_EXPECTS(!prob_.empty());
+  const std::size_t n = prob_.size();
   double total = 0.0;
-  for (double w : weights) {
+  for (double w : prob_) {
     CCNOPT_EXPECTS(w >= 0.0);
     total += w;
   }
   CCNOPT_EXPECTS(total > 0.0);
 
-  // Scaled probabilities (mean 1), kept in prob_ itself: a bucket's value
-  // is final once it leaves the small stack, and only the large bucket
-  // that absorbs its remainder changes after that.
-  prob_.resize(n);
+  // Scaled probabilities (mean 1), overwriting the weights in prob_: a
+  // bucket's value is final once it leaves the small stack, and only the
+  // large bucket that absorbs its remainder changes after that.
   alias_.assign(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    prob_[i] = weights[i] * static_cast<double>(n) / total;
-  }
+  for (double& p : prob_) p = p * static_cast<double>(n) / total;
   std::vector<std::uint32_t> small, large;
   small.reserve(n);
   large.reserve(n);
@@ -196,8 +193,7 @@ std::unique_ptr<RankSampler> make_zipf_sampler(std::uint64_t catalog_size,
   if (reject) {
     return std::make_unique<ZipfRejectionSampler>(catalog_size, exponent);
   }
-  return std::make_unique<AliasSampler>(
-      ZipfDistribution(catalog_size, exponent));
+  return std::make_unique<AliasSampler>(catalog_size, exponent);
 }
 
 }  // namespace ccnopt::popularity

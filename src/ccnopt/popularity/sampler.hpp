@@ -53,8 +53,10 @@ class AliasSampler final : public RankSampler {
   /// (unnormalized) weights; requires non-empty weights, all >= 0, sum > 0.
   explicit AliasSampler(const std::vector<double>& weights);
 
-  /// Convenience: builds the weight vector from a ZipfDistribution.
-  explicit AliasSampler(const ZipfDistribution& zipf);
+  /// Zipf(s, N): weights i^-s for ranks 1..N, written straight into the
+  /// table (no harmonic prefix table, no weight buffer). Requires
+  /// catalog_size >= 1 and exponent > 0.
+  AliasSampler(std::uint64_t catalog_size, double exponent);
 
   std::uint64_t sample(Rng& rng) override;
   /// Block draws in prefetched chunks: all of a chunk's buckets are drawn
@@ -64,7 +66,8 @@ class AliasSampler final : public RankSampler {
   std::uint64_t catalog_size() const override { return prob_.size(); }
 
  private:
-  void build(const std::vector<double>& weights);
+  /// Turns the weights held in prob_ into the alias table, in place.
+  void build();
 
   std::vector<double> prob_;        // acceptance probability per bucket
   std::vector<std::uint32_t> alias_;  // fallback bucket

@@ -63,7 +63,7 @@ TEST(Che, PredictsSimulatedLruHitRatio) {
     ASSERT_TRUE(che.has_value());
 
     LruCache lru(capacity);
-    popularity::AliasSampler sampler(zipf);
+    popularity::AliasSampler sampler(catalog, s);
     Rng rng(2024);
     for (int i = 0; i < 150000; ++i) lru.admit(sampler.sample(rng));
     lru.reset_stats();

@@ -141,7 +141,7 @@ constexpr PolicyKind kKinds[] = {PolicyKind::kLru, PolicyKind::kLfu,
 
 std::vector<ContentId> zipf_stream(std::uint64_t catalog, double s,
                                    std::size_t length, std::uint64_t seed) {
-  popularity::AliasSampler sampler(popularity::ZipfDistribution(catalog, s));
+  popularity::AliasSampler sampler(catalog, s);
   Rng rng(seed);
   std::vector<ContentId> stream;
   stream.reserve(length);

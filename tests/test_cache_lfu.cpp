@@ -73,7 +73,7 @@ TEST(Lfu, ConvergesToTopRanksUnderZipf) {
   const std::uint64_t catalog = 200;
   const std::size_t capacity = 20;
   LfuCache cache(capacity);
-  popularity::AliasSampler sampler(popularity::ZipfDistribution(catalog, 1.0));
+  popularity::AliasSampler sampler(catalog, 1.0);
   Rng rng(1234);
   for (int i = 0; i < 200000; ++i) cache.admit(sampler.sample(rng));
   for (ContentId rank = 1; rank <= 10; ++rank) {
@@ -87,7 +87,7 @@ TEST(Lfu, HitRatioApproachesZipfCdfOfCapacity) {
   const double s = 0.8;
   LfuCache cache(capacity);
   const popularity::ZipfDistribution zipf(catalog, s);
-  popularity::AliasSampler sampler(zipf);
+  popularity::AliasSampler sampler(catalog, s);
   Rng rng(99);
   // Warm up, then measure.
   for (int i = 0; i < 100000; ++i) cache.admit(sampler.sample(rng));

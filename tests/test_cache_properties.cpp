@@ -131,8 +131,7 @@ TEST(PolicyComparison, LfuBeatsFifoAndRandomOnZipf) {
   // under a stationary Zipf stream LFU's hit ratio dominates.
   const std::uint64_t catalog = 400;
   const std::size_t capacity = 40;
-  popularity::AliasSampler sampler(
-      popularity::ZipfDistribution(catalog, 0.9));
+  popularity::AliasSampler sampler(catalog, 0.9);
 
   auto run = [&](PolicyKind kind) {
     auto cache = make_policy(kind, capacity, 11);

@@ -26,7 +26,7 @@ AdaptiveConfig small_config() {
 
 void feed_zipf_epoch(AdaptiveController& controller, double s,
                      std::uint64_t requests, std::uint64_t seed) {
-  popularity::AliasSampler sampler(popularity::ZipfDistribution(10000, s));
+  popularity::AliasSampler sampler(10000, s);
   Rng rng(seed);
   for (std::uint64_t i = 0; i < requests; ++i) {
     controller.observe(sampler.sample(rng));

@@ -1,11 +1,14 @@
 #include "ccnopt/obs/registry.hpp"
 
+#include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "ccnopt/common/random.hpp"
 #include "ccnopt/obs/export.hpp"
 
 namespace ccnopt::obs {
@@ -68,6 +71,85 @@ TEST(ObsRegistry, HistogramSumIsExactFixedPoint) {
   EXPECT_EQ(merged.sum(), all.sum());
   EXPECT_DOUBLE_EQ(merged.sum(), 100.0);
   EXPECT_EQ(merged.count(), 1000u);
+}
+
+/// The sum one observation of `value` must contribute: llround of its
+/// micro-unit scaling, back in units.
+double llround_sum(double value) {
+  return static_cast<double>(std::llround(value * 1e6)) / 1e6;
+}
+
+/// `micro_units / 1e6` or a neighbour of it whose micro-unit scaling is
+/// exactly `micro_units`.
+double exact_preimage(double micro_units) {
+  const double guess = micro_units / 1e6;
+  for (const double candidate : {guess, std::nextafter(guess, INFINITY),
+                                 std::nextafter(guess, -INFINITY)}) {
+    if (candidate * 1e6 == micro_units) return candidate;
+  }
+  ADD_FAILURE() << "no double scales to exactly " << micro_units;
+  return guess;
+}
+
+TEST(ObsRegistry, HistogramSumRoundsTiesAwayFromZeroLikeLlround) {
+  for (const double tie : {0.5, -0.5, 1.5, -1.5, 2.5, -2.5}) {
+    const double value = exact_preimage(tie);
+    Histogram hist({1.0});
+    hist.observe(value);
+    EXPECT_EQ(hist.sum(), llround_sum(value)) << tie << " micro-units";
+    EXPECT_EQ(hist.sum(), std::copysign(std::ceil(std::abs(tie)), tie) / 1e6)
+        << tie << " micro-units";
+  }
+}
+
+TEST(ObsRegistry, HistogramSumRoundsJustBelowHalfDown) {
+  // 0.49999999999999994 (the double before 0.5) is where floor(x + 0.5)
+  // rounds wrongly up. No double times 1e6 lands on it, so the nearest
+  // scalings below half a micro-unit stand in; the value itself is
+  // observed too.
+  const double half = exact_preimage(0.5);
+  double below = half;
+  for (int i = 0; i < 3; ++i) {
+    below = std::nextafter(below, 0.0);
+    ASSERT_LT(below * 1e6, 0.5);
+    Histogram hist({1.0});
+    hist.observe(below);
+    EXPECT_EQ(hist.sum(), 0.0);
+    EXPECT_EQ(hist.sum(), llround_sum(below));
+    Histogram negative({1.0});
+    negative.observe(-below);
+    EXPECT_EQ(negative.sum(), llround_sum(-below));
+  }
+  Histogram hist({1.0});
+  hist.observe(0.49999999999999994);
+  EXPECT_EQ(hist.sum(), llround_sum(0.49999999999999994));
+}
+
+TEST(ObsRegistry, HistogramSumMatchesLlroundOnRandomLatencies) {
+  Rng rng(2025);
+  Histogram hist({1e-3, 1e-2, 1e-1});
+  std::int64_t expected = 0;
+  for (int i = 0; i < 100000; ++i) {
+    // Latencies in seconds, mean 4 ms; every 11th is negated so negative
+    // scalings round too.
+    const double value = rng.exponential(250.0);
+    const double signed_value = (i % 11 == 0) ? -value : value;
+    hist.observe(signed_value);
+    expected += std::llround(signed_value * 1e6);
+  }
+  EXPECT_EQ(hist.sum(), static_cast<double>(expected) / 1e6);
+}
+
+TEST(ObsRegistryDeathTest, HistogramRejectsScaledMagnitudeOf2To62OrMore) {
+  // |value * 1e6| must stay below 2^62 ~ 4.61e18, where the truncation to
+  // int64 is exact (llround returned garbage past the int64 range).
+  Histogram ok({1.0});
+  ok.observe(4e12);
+  EXPECT_EQ(ok.sum(), 4e12);
+  Histogram hist({1.0});
+  EXPECT_DEATH(hist.observe(5e12), "precondition");
+  EXPECT_DEATH(hist.observe(-5e12), "precondition");
+  EXPECT_DEATH(hist.observe(1e300), "precondition");
 }
 
 TEST(ObsRegistry, HistogramMergeAdoptsBoundsWhenDefault) {

@@ -11,7 +11,7 @@ namespace {
 std::vector<std::uint64_t> sample_histogram(std::uint64_t catalog, double s,
                                             std::uint64_t draws,
                                             std::uint64_t seed) {
-  AliasSampler sampler(ZipfDistribution(catalog, s));
+  AliasSampler sampler(catalog, s);
   Rng rng(seed);
   std::vector<std::uint64_t> histogram(catalog, 0);
   for (std::uint64_t i = 0; i < draws; ++i) {

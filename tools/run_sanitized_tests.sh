@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
 # Build and run the memory-safety-critical test suites (the robin-hood
 # sparse index, the cache policies layered on it, the Zipf samplers, the
-# strategy subsystem driving the data plane, the owner-table and on-path
-# serve paths under provisioning, heterogeneous quotas and router
-# failures, the topology-resolved flight recorder fed from the serve hot
-# path, the route table's search
-# kernels, the topology edge-list parser and the argument parser on
-# malformed and seeded random input, the sharded request engine, and the
-# fork-join worker pool with the replication runner on it) under
+# in-house MT19937-64 engine and Rng's float mappings checked bit for bit
+# against the standard library, the histogram's inline fixed-point
+# rounding, the strategy subsystem driving the data plane, the
+# owner-table and on-path serve paths under provisioning, heterogeneous
+# quotas and router failures, the topology-resolved flight recorder fed
+# from the serve hot path, the route table's search kernels, the
+# topology edge-list parser and the argument parser on malformed and
+# seeded random input, the sharded request engine, and the fork-join
+# worker pool with the replication runner on it) under
 # AddressSanitizer + UndefinedBehaviorSanitizer, then the
 # concurrency-critical suites again under ThreadSanitizer — the sharded
 # engine mutates shared cache stores from pool threads, and
@@ -38,6 +40,8 @@ TARGETS=(
   test_cache_fifo
   test_cache_partitioned
   test_popularity_sampler
+  test_common_random
+  test_obs_registry
   test_strategy_registry
   test_strategy_properties
   test_obs_topo
